@@ -431,7 +431,13 @@ def main(argv=None) -> int:
             overrides["synth"] = True
         if args.command == "synth":
             overrides["synth"] = True
-        config = load_config(args.config, overrides)
+        try:
+            config = load_config(args.config, overrides)
+            config.train_config()
+            config.scheme()
+        except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            print(f"usage error: bad config: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         _write_resolved_config(config, args.command)
 
         if args.command in ("ingest", "synth"):

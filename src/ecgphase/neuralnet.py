@@ -136,16 +136,20 @@ def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
-    """Patch matrix of a zero-padded batch: (n, h, w, k*k*c), dy/dx/c order."""
+    """Patch matrix of a zero-padded batch: (n, h, w, k*k*c), dy/dx/c order.
+
+    In a C-contiguous batch, patch row dy of output pixel (y, x) is the k*c
+    consecutive values of padded row y+dy starting at column x, so one
+    strided view holds every patch and a single copy lays them out.
+    """
+    padded = np.ascontiguousarray(padded)
     n, hp, wp, c = padded.shape
     h, w = hp - k + 1, wp - k + 1
-    cols = np.empty((n, h, w, k * k, c), dtype=padded.dtype)
-    i = 0
-    for dy in range(k):
-        for dx in range(k):
-            cols[:, :, :, i, :] = padded[:, dy : dy + h, dx : dx + w, :]
-            i += 1
-    return cols.reshape(n, h, w, k * k * c)
+    sn, sy, sx, sc = padded.strides
+    patches = np.lib.stride_tricks.as_strided(
+        padded, shape=(n, h, w, k, k * c), strides=(sn, sy, sx, sy, sc), writeable=False
+    )
+    return patches.reshape(n, h, w, k * k * c)
 
 
 def _col2im(dcols: np.ndarray, in_shape: tuple, k: int) -> np.ndarray:
@@ -172,23 +176,24 @@ def _conv_forward(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.ndarr
     p = (k - 1) // 2
     padded = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
     cols = _im2col(padded, k)
-    out = cols @ layer.kernels.reshape(-1, c_out) + layer.bias
+    out = cols @ layer.kernels.reshape(-1, c_out)
+    out += layer.bias
     return out, cols
 
 
-def _conv_backward(
-    cols: np.ndarray,
-    layer: ConvLayer,
-    dout: np.ndarray,
-    in_shape: tuple,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _conv_param_grads(
+    cols: np.ndarray, layer: ConvLayer, dout: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     k, _, c_in, c_out = layer.kernels.shape
     dout2 = dout.reshape(-1, c_out)
     dkernels = (cols.reshape(-1, k * k * c_in).T @ dout2).reshape(layer.kernels.shape)
-    dbias = dout2.sum(axis=0)
+    return dkernels, dout2.sum(axis=0)
+
+
+def _conv_input_grad(layer: ConvLayer, dout: np.ndarray, in_shape: tuple) -> np.ndarray:
+    k, _, _, c_out = layer.kernels.shape
     dcols = dout @ layer.kernels.reshape(-1, c_out).T
-    dx = _col2im(dcols, in_shape, k)
-    return dkernels, dbias, dx
+    return _col2im(dcols, in_shape, k)
 
 
 def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -204,17 +209,16 @@ def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m_ab = np.maximum(a, b)
     m_cd = np.maximum(cc, d)
     out = np.maximum(m_ab, m_cd)
-    arg = np.where(m_ab >= m_cd, np.where(a >= b, 0, 1), np.where(cc >= d, 2, 3))
+    # ~(u >= v), not u < v, so an unordered (NaN) pair also picks the later
+    # corner; int8 keeps the argmax an eighth the size of a default int
+    arg = np.where(m_ab >= m_cd, ~(a >= b), np.int8(2) + ~(cc >= d))
     return out, arg
 
 
 def _pool_backward(dout: np.ndarray, arg: np.ndarray, in_shape: tuple) -> np.ndarray:
-    n, h, w, c = in_shape
-    dx = np.zeros(in_shape)
-    dx[:, 0::2, 0::2, :] = dout * (arg == 0)
-    dx[:, 0::2, 1::2, :] = dout * (arg == 1)
-    dx[:, 1::2, 0::2, :] = dout * (arg == 2)
-    dx[:, 1::2, 1::2, :] = dout * (arg == 3)
+    dx = np.empty(in_shape)
+    for q, (row, col) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        np.multiply(dout, arg == q, out=dx[:, row::2, col::2, :])
     return dx
 
 
@@ -335,13 +339,16 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Gra
     dflat = dzd @ model.dense1.weights.T
     dp2 = dflat.reshape(cache.p2.shape)
 
-    da2 = _pool_backward(dp2, cache.pool2_arg, cache.z2.shape)
-    dz2 = da2 * (cache.z2 > 0)
-    dk2, dbc2, dp1 = _conv_backward(cache.cols2, model.conv2, dz2, cache.p1.shape)
+    # ReLU masks go in place on the fresh pool-backward outputs; conv1's
+    # input gradient is never needed, so it is never computed
+    dz2 = _pool_backward(dp2, cache.pool2_arg, cache.z2.shape)
+    np.multiply(dz2, cache.z2 > 0, out=dz2)
+    dk2, dbc2 = _conv_param_grads(cache.cols2, model.conv2, dz2)
+    dp1 = _conv_input_grad(model.conv2, dz2, cache.p1.shape)
 
-    da1 = _pool_backward(dp1, cache.pool1_arg, cache.z1.shape)
-    dz1 = da1 * (cache.z1 > 0)
-    dk1, dbc1, _ = _conv_backward(cache.cols1, model.conv1, dz1, cache.x.shape)
+    dz1 = _pool_backward(dp1, cache.pool1_arg, cache.z1.shape)
+    np.multiply(dz1, cache.z1 > 0, out=dz1)
+    dk1, dbc1 = _conv_param_grads(cache.cols1, model.conv1, dz1)
 
     return Gradients(
         conv1_kernels=dk1, conv1_bias=dbc1,
@@ -356,27 +363,36 @@ def backward(model: Model, cache: ForwardCache, y: float) -> Gradients:
     return backward_batch(model, cache, np.asarray([y]))
 
 
+def _descend(w: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
+    """w - alpha * g in one fresh array; neither input is written."""
+    d = alpha * g
+    return np.subtract(w, d, out=d)
+
+
 def sgd_step(model: Model, grads: Gradients, alpha: float) -> Model:
-    """One gradient-descent update: w_new = w - alpha * dL/dw."""
+    """One gradient-descent update: w_new = w - alpha * dL/dw.
+
+    Pure: returns a new Model and writes neither the model nor the grads.
+    """
     if alpha <= 0:
         raise ValueError(f"learning rate must be positive, got {alpha}")
     return Model(
         config=model.config,
         conv1=ConvLayer(
-            model.conv1.kernels - alpha * grads.conv1_kernels,
-            model.conv1.bias - alpha * grads.conv1_bias,
+            _descend(model.conv1.kernels, grads.conv1_kernels, alpha),
+            _descend(model.conv1.bias, grads.conv1_bias, alpha),
         ),
         conv2=ConvLayer(
-            model.conv2.kernels - alpha * grads.conv2_kernels,
-            model.conv2.bias - alpha * grads.conv2_bias,
+            _descend(model.conv2.kernels, grads.conv2_kernels, alpha),
+            _descend(model.conv2.bias, grads.conv2_bias, alpha),
         ),
         dense1=DenseLayer(
-            model.dense1.weights - alpha * grads.dense1_weights,
-            model.dense1.bias - alpha * grads.dense1_bias,
+            _descend(model.dense1.weights, grads.dense1_weights, alpha),
+            _descend(model.dense1.bias, grads.dense1_bias, alpha),
         ),
         dense_out=DenseLayer(
-            model.dense_out.weights - alpha * grads.dense_out_weights,
-            model.dense_out.bias - alpha * grads.dense_out_bias,
+            _descend(model.dense_out.weights, grads.dense_out_weights, alpha),
+            _descend(model.dense_out.bias, grads.dense_out_bias, alpha),
         ),
     )
 

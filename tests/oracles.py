@@ -32,6 +32,20 @@ def conv2d_naive(x, kernels, bias):
     return out
 
 
+def im2col_loop(padded, k):
+    """Patch matrix of a zero-padded (n, hp, wp, c) batch, one slice copy per
+    kernel offset: (n, h, w, k*k*c) in dy/dx/c order."""
+    n, hp, wp, c = padded.shape
+    h, w = hp - k + 1, wp - k + 1
+    cols = np.empty((n, h, w, k * k, c), dtype=padded.dtype)
+    i = 0
+    for dy in range(k):
+        for dx in range(k):
+            cols[:, :, :, i, :] = padded[:, dy : dy + h, dx : dx + w, :]
+            i += 1
+    return cols.reshape(n, h, w, k * k * c)
+
+
 def maxpool_naive(x):
     """Explicit 2x2 windows; argmax recorded by first row-major occurrence."""
     h, w, c = x.shape

@@ -207,6 +207,29 @@ class TestUsage:
         bad.write_text('{"no_such_option": 1}')
         assert run(["ingest", "--config", str(bad)]) == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("flags", [
+        ["--zoom-range", "1.5"],
+        ["--epochs", "-1"],
+        ["--batch-size", "0"],
+        ["--learning-rate", "0"],
+    ])
+    def test_bad_train_flag_is_usage_error(self, tmp_path, flags):
+        out = tmp_path / "o"
+        assert run(["train", "--output-dir", str(out), *flags]) == cli.EXIT_USAGE
+        assert not (out / "run_config.json").exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("train", '{"epochs": "5"}'),
+        ("render", '{"derivative_scheme": "bogus"}'),
+        ("train", '{"epochs": 5,'),
+    ])
+    def test_bad_config_file_is_usage_error(self, tmp_path, command, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        code = run([command, "--config", str(bad), "--output-dir", str(out)])
+        assert code == cli.EXIT_USAGE
+
     def test_flag_overrides_config_file(self, tmp_path):
         cfg, out = fast_config(tmp_path, "o", seed=3)
         run(["ingest", "--config", str(cfg), "--seed", "9"])

@@ -10,7 +10,15 @@ from ecgphase.errors import (
     OddDimension,
     ShapeMismatch,
 )
-from oracles import conv2d_naive, dense_naive, max_gradient_error, maxpool_naive
+from oracles import (
+    PARAM_TENSORS,
+    conv2d_naive,
+    dense_naive,
+    gradients_as_dict,
+    im2col_loop,
+    max_gradient_error,
+    maxpool_naive,
+)
 
 TINY = nn.ModelConfig(input_size=8, conv_filters=(2, 2), hidden_units=4)
 
@@ -54,6 +62,22 @@ class TestConv:
             slow = conv2d_naive(x, layer.kernels, layer.bias)
             assert np.max(np.abs(fast - slow)) < 1e-10
 
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("c", [1, 3, 32])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_im2col_matches_loop(self, k, c, n):
+        rng = np.random.default_rng(k * 100 + c * 10 + n)
+        h, w = 7, 4
+        padded = rng.normal(size=(n, h + k - 1, w + k - 1, c))
+        fast = nn._im2col(padded, k)
+        assert fast.shape == (n, h, w, k * k * c)
+        assert np.array_equal(fast, im2col_loop(padded, k))
+
+    def test_im2col_of_strided_input(self):
+        # a non-contiguous batch gives the same patches as its contiguous copy
+        padded = np.random.default_rng(3).normal(size=(2, 12, 10, 6))[:, ::2, :, 1::2]
+        assert np.array_equal(nn._im2col(padded, 3), im2col_loop(padded, 3))
+
     def test_channel_mismatch(self):
         layer = nn.ConvLayer(np.zeros((3, 3, 2, 4)), np.zeros(4))
         with pytest.raises(ShapeMismatch):
@@ -89,6 +113,41 @@ class TestMaxPool:
             slow, slow_arg = maxpool_naive(x)
             assert np.array_equal(fast, slow)
             assert np.array_equal(fast_arg, slow_arg)
+
+    def test_nan_picks_later_corner_of_its_pair(self):
+        x = np.array([[0.0, 0.0], [np.nan, 0.0]])[:, :, None]
+        out, arg = nn.maxpool_forward(x)
+        assert np.isnan(out[0, 0, 0])
+        assert arg[0, 0, 0] == 3
+
+    def test_matches_naive_oracle_after_relu(self):
+        # ReLU output is what the network pools: most windows of a negative-
+        # biased input are all-zero ties
+        rng = np.random.default_rng(9)
+        for _ in range(10):
+            h = 2 * int(rng.integers(1, 7))
+            w = 2 * int(rng.integers(1, 7))
+            c = int(rng.integers(1, 4))
+            x = nn.relu(rng.normal(loc=-1.5, size=(h, w, c)))
+            fast, fast_arg = nn.maxpool_forward(x)
+            slow, slow_arg = maxpool_naive(x)
+            assert np.array_equal(fast, slow)
+            assert np.array_equal(fast_arg, slow_arg)
+
+    def test_backward_routes_to_oracle_argmax(self):
+        rng = np.random.default_rng(10)
+        x = nn.relu(rng.normal(loc=-0.5, size=(2, 6, 8, 3)))
+        _, arg = nn._pool_forward(x)
+        assert arg.dtype == np.int8
+        dout = rng.normal(size=(2, 3, 4, 3))
+        dx = nn._pool_backward(dout, arg, x.shape)
+        expected = np.zeros_like(x)
+        for i in range(x.shape[0]):
+            _, slow_arg = maxpool_naive(x[i])
+            for y, xx, ch in np.ndindex(slow_arg.shape):
+                row, col = divmod(int(slow_arg[y, xx, ch]), 2)
+                expected[i, 2 * y + row, 2 * xx + col, ch] = dout[i, y, xx, ch]
+        assert np.array_equal(dx, expected)
 
     def test_odd_dimension(self):
         with pytest.raises(OddDimension):
@@ -275,6 +334,25 @@ class TestSgdStep:
             stepped = nn.sgd_step(model, nn.backward(model, cache, 1.0), alpha)
             p1, _ = nn.forward(stepped, x)
             assert nn.bce_loss(p1, 1.0) < loss0
+
+    def test_step_is_pure(self):
+        def tensors(m):
+            return {f"{layer}.{part}": getattr(getattr(m, layer), part) for layer, part in PARAM_TENSORS}
+
+        model = nn.init_weights(TINY, seed=6)
+        x = np.random.default_rng(1).uniform(0, 1, (8, 8, 3))
+        _, cache = nn.forward(model, x)
+        grads = nn.backward(model, cache, 1.0)
+        old, g = tensors(model), gradients_as_dict(grads)
+        old_copy = {k: v.copy() for k, v in old.items()}
+        g_copy = {k: v.copy() for k, v in g.items()}
+        new = tensors(nn.sgd_step(model, grads, 0.1))
+        for name in new:
+            assert np.array_equal(old[name], old_copy[name])
+            assert np.array_equal(g[name], g_copy[name])
+            assert not np.shares_memory(new[name], old[name])
+            assert not np.shares_memory(new[name], g[name])
+            assert np.array_equal(new[name], old_copy[name] - 0.1 * g_copy[name])
 
 
 class TestInitWeights:
