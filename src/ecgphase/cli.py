@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +35,19 @@ EXIT_INTERNAL = 3
 
 @dataclass
 class RunConfig:
-    """Every knob of a run; defaults follow the published experiment."""
+    """Every knob of a run; defaults follow the published experiment.
+
+    Each field but `split` is also a CLI flag, `--dashed-name`. Construction
+    checks every value's type and range and raises TypeError or ValueError.
+    """
 
     data_dir: str = "data"
     output_dir: str = "out"
     channel: str = "MLII"
-    derivative_scheme: str = "third_order_forward"
+    derivative_scheme: str = field(
+        default="third_order_forward",
+        metadata={"choices": [s.value for s in DerivativeScheme]},
+    )
     q_window_ms: float = 50.0
     viewport_margin: float = 0.05
     zoom_range: float = 0.2
@@ -54,6 +63,38 @@ class RunConfig:
     csv_sampling_rate: float | None = None
     split: dict | None = None  # quadrant lists; None means the published split
 
+    def __post_init__(self):
+        for name, kinds in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            # bool is an int, and an int is a valid float, so bools go first
+            if isinstance(value, bool):
+                ok = bool in kinds
+            else:
+                ok = isinstance(value, kinds + ((int,) if float in kinds else ()))
+            if not ok:
+                names = " or ".join(k.__name__ for k in kinds)
+                raise TypeError(f"{name} must be {names}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.seed < 0 or self.q_window_ms < 0 or self.viewport_margin < 0:
+            raise ValueError("seed, q_window_ms and viewport_margin must be >= 0")
+        rates = (self.synth_duration_s, self.synth_sampling_rate, self.csv_sampling_rate)
+        if any(r is not None and r <= 0 for r in rates):
+            raise ValueError("synth_duration_s and the sampling rates must be positive")
+        if self.split is not None and (
+            set(self.split) != set(pipeline.PUBLISHED_SPLIT)
+            or not all(
+                isinstance(ids, (list, tuple)) and all(isinstance(rid, str) for rid in ids)
+                for ids in self.split.values()
+            )
+        ):
+            raise ValueError(
+                f"split must map exactly {sorted(pipeline.PUBLISHED_SPLIT)} to lists of record ids"
+            )
+        self.dataset_split()
+        self.train_config()
+        self.scheme()
+
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
         d["split"] = self.split_quadrants()
@@ -62,21 +103,10 @@ class RunConfig:
     def split_quadrants(self) -> dict:
         if self.split is not None:
             return self.split
-        return {
-            "train_healthy": list(pipeline.TRAIN_HEALTHY),
-            "train_unhealthy": list(pipeline.TRAIN_UNHEALTHY),
-            "test_healthy": list(pipeline.TEST_HEALTHY),
-            "test_unhealthy": list(pipeline.TEST_UNHEALTHY),
-        }
+        return {k: list(ids) for k, ids in pipeline.PUBLISHED_SPLIT.items()}
 
     def dataset_split(self) -> DatasetSplit:
-        q = self.split_quadrants()
-        return DatasetSplit(
-            train=tuple((r, Label.HEALTHY) for r in q["train_healthy"])
-            + tuple((r, Label.UNHEALTHY) for r in q["train_unhealthy"]),
-            test=tuple((r, Label.HEALTHY) for r in q["test_healthy"])
-            + tuple((r, Label.UNHEALTHY) for r in q["test_unhealthy"]),
-        )
+        return pipeline.split_from_quadrants(self.split_quadrants())
 
     def scheme(self) -> DerivativeScheme:
         return DerivativeScheme(self.derivative_scheme)
@@ -107,14 +137,20 @@ class RunConfig:
         return Path(self.output_dir) / "model.ckpt"
 
 
+# field -> the classes it holds; `float | None` holds (float, NoneType)
+_FIELD_TYPES = {
+    name: typing.get_args(hint) or (hint,)
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+
+
 def load_config(path, overrides: dict) -> RunConfig:
     """Defaults, then the JSON config file, then CLI flag overrides."""
     values: dict = {}
     if path:
         with open(path) as fh:
             file_values = json.load(fh)
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(file_values) - known
+        unknown = set(file_values) - set(_FIELD_TYPES)
         if unknown:
             raise EcgPhaseError(f"unknown config keys: {sorted(unknown)}")
         values.update(file_values)
@@ -285,7 +321,7 @@ def cmd_train(config: RunConfig) -> int:
     """Train on the split's training records and report both set evaluations."""
     split = config.dataset_split()
     images = _load_images(config, split.all_records)
-    train_set, test_set = build_sets(images, split)
+    train_set, test_set = pipeline.build_dataset(images, load_labels(), split)
 
     master = np.random.SeedSequence(config.seed)
     init_ss, train_ss = master.spawn(2)
@@ -314,10 +350,6 @@ def cmd_train(config: RunConfig) -> int:
         f"test accuracy {report.summary['test_accuracy']:.4f}"
     )
     return EXIT_OK
-
-
-def build_sets(images: dict[str, np.ndarray], split: DatasetSplit):
-    return pipeline.build_dataset(images, load_labels(), split)
 
 
 def cmd_eval(config: RunConfig, records: list[str] | None = None) -> int:
@@ -375,46 +407,27 @@ def build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--data-dir", dest="data_dir")
-        p.add_argument("--output-dir", dest="output_dir")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--learning-rate", dest="learning_rate", type=float)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--q-window-ms", dest="q_window_ms", type=float)
-        p.add_argument("--viewport-margin", dest="viewport_margin", type=float)
-        p.add_argument("--zoom-range", dest="zoom_range", type=float)
-        p.add_argument("--shear-range", dest="shear_range", type=float)
-        p.add_argument(
-            "--derivative-scheme",
-            dest="derivative_scheme",
-            choices=[s.value for s in DerivativeScheme],
-        )
-        p.add_argument("--csv-sampling-rate", dest="csv_sampling_rate", type=float)
+        for f in dataclasses.fields(RunConfig):
+            if f.name == "split":  # a table of record ids: JSON config only
+                continue
+            flag = "--" + f.name.replace("_", "-")
+            kind = _FIELD_TYPES[f.name][0]
+            if kind is bool:
+                p.add_argument(flag, action=argparse.BooleanOptionalAction)
+            else:
+                p.add_argument(flag, type=kind, choices=f.metadata.get("choices"))
         return p
 
-    p_ingest = add_common(sub.add_parser("ingest", help="parse records into the signal cache"))
-    p_ingest.add_argument("--synth", action="store_true", default=None,
-                          help="generate the synthetic 44-record corpus instead of reading data")
-
+    add_common(sub.add_parser("ingest", help="parse records into the signal cache"))
     add_common(sub.add_parser("render", help="rasterize cached signals to PPM images"))
     add_common(sub.add_parser("train", help="train the CNN on the rendered images"))
 
     p_eval = add_common(sub.add_parser("eval", help="evaluate a saved checkpoint"))
     p_eval.add_argument("--records", help="comma-separated record ids (default: test split)")
 
-    p_all = add_common(sub.add_parser("run-all", help="ingest, render, and train in one go"))
-    p_all.add_argument("--synth", action="store_true", default=None,
-                       help="generate the synthetic 44-record corpus instead of reading data")
-    add_common(sub.add_parser("synth", help="shorthand for ingest --synth"))
+    add_common(sub.add_parser("run-all", help="ingest, render, and train in one go"))
+    add_common(sub.add_parser("synth", help="shorthand for ingest --synth")).set_defaults(synth=True)
     return parser
-
-
-_CONFIG_KEYS = (
-    "data_dir", "output_dir", "seed", "epochs", "learning_rate", "batch_size",
-    "q_window_ms", "viewport_margin", "zoom_range", "shear_range",
-    "derivative_scheme", "csv_sampling_rate",
-)
 
 
 def main(argv=None) -> int:
@@ -426,15 +439,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
     try:
-        overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
-        if getattr(args, "synth", None):
-            overrides["synth"] = True
-        if args.command == "synth":
-            overrides["synth"] = True
+        overrides = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
         try:
             config = load_config(args.config, overrides)
-            config.train_config()
-            config.scheme()
         except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
             print(f"usage error: bad config: {exc}", file=sys.stderr)
             return EXIT_USAGE

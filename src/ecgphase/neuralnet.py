@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import struct
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,14 +47,15 @@ class ModelConfig:
     hidden_units: int = 128
 
     def __post_init__(self):
+        sizes = (self.input_size, self.input_channels, self.kernel_size, self.hidden_units)
+        if not all(type(v) is int and v >= 1 for v in (*sizes, *self.conv_filters)):
+            raise ValueError(f"layer sizes must be positive ints, got {self}")
         if self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
         if self.input_size % 4:
             raise ValueError(
                 f"input_size must be divisible by 4 for two 2x2 pools, got {self.input_size}"
             )
-        if min(self.conv_filters) < 1 or self.hidden_units < 1:
-            raise ValueError("layer widths must be positive")
 
     @property
     def flat_dim(self) -> int:
@@ -75,6 +77,8 @@ class DenseLayer:
 
 @dataclass(frozen=True)
 class Model:
+    """The network's parameters; `backward_batch` returns its gradients as one too."""
+
     config: ModelConfig
     conv1: ConvLayer
     conv2: ConvLayer
@@ -82,29 +86,43 @@ class Model:
     dense_out: DenseLayer
 
     def parameter_count(self) -> int:
-        return sum(
-            t.size
-            for t in (
-                self.conv1.kernels, self.conv1.bias,
-                self.conv2.kernels, self.conv2.bias,
-                self.dense1.weights, self.dense1.bias,
-                self.dense_out.weights, self.dense_out.bias,
-            )
-        )
+        return sum(t.size for t in parameters(self).values())
 
 
-@dataclass(frozen=True)
-class Gradients:
-    """dL/dw for every parameter tensor, shape-congruent with Model."""
+# layer field name -> layer class, in declaration order, which is the
+# checkpoint's tensor order
+_LAYERS = {name: cls for name, cls in typing.get_type_hints(Model).items() if name != "config"}
 
-    conv1_kernels: np.ndarray = field(repr=False)
-    conv1_bias: np.ndarray = field(repr=False)
-    conv2_kernels: np.ndarray = field(repr=False)
-    conv2_bias: np.ndarray = field(repr=False)
-    dense1_weights: np.ndarray = field(repr=False)
-    dense1_bias: np.ndarray = field(repr=False)
-    dense_out_weights: np.ndarray = field(repr=False)
-    dense_out_bias: np.ndarray = field(repr=False)
+
+def parameters(model: Model) -> dict[str, np.ndarray]:
+    """Every parameter tensor as "layer.part" -> array, in checkpoint order."""
+    return {
+        f"{name}.{part.name}": getattr(getattr(model, name), part.name)
+        for name, cls in _LAYERS.items()
+        for part in dataclasses.fields(cls)
+    }
+
+
+def from_parameters(config: ModelConfig, params: dict[str, np.ndarray]) -> Model:
+    """Inverse of `parameters`: the Model holding these named tensors."""
+    return Model(config, **{
+        name: cls(**{part.name: params[f"{name}.{part.name}"] for part in dataclasses.fields(cls)})
+        for name, cls in _LAYERS.items()
+    })
+
+
+def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shapes `parameters` gives for a model of this config: each layer's
+    kernels or weights, then its bias over their last axis."""
+    k, c = config.kernel_size, config.input_channels
+    f1, f2 = config.conv_filters
+    h = config.hidden_units
+    weights = ((k, k, c, f1), (k, k, f1, f2), (config.flat_dim, h), (h, 1))
+    return {
+        f"{name}.{part.name}": shape
+        for (name, cls), w in zip(_LAYERS.items(), weights, strict=True)
+        for part, shape in zip(dataclasses.fields(cls), (w, w[-1:]), strict=True)
+    }
 
 
 @dataclass
@@ -318,8 +336,9 @@ def forward(model: Model, image: np.ndarray) -> tuple[float, ForwardCache]:
     return float(prob[0]), cache
 
 
-def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Gradients:
-    """Mean-loss gradients for a batch, using the fused sigmoid+BCE output grad."""
+def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Model:
+    """Mean-loss gradients for a batch, shaped as the model, using the fused
+    sigmoid+BCE output grad."""
     if cache is None:
         raise MissingCache("run forward before backward")
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
@@ -350,15 +369,16 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Gra
     np.multiply(dz1, cache.z1 > 0, out=dz1)
     dk1, dbc1 = _conv_param_grads(cache.cols1, model.conv1, dz1)
 
-    return Gradients(
-        conv1_kernels=dk1, conv1_bias=dbc1,
-        conv2_kernels=dk2, conv2_bias=dbc2,
-        dense1_weights=dW1, dense1_bias=db1,
-        dense_out_weights=dW_out, dense_out_bias=db_out,
+    return Model(
+        model.config,
+        ConvLayer(dk1, dbc1),
+        ConvLayer(dk2, dbc2),
+        DenseLayer(dW1, db1),
+        DenseLayer(dW_out, db_out),
     )
 
 
-def backward(model: Model, cache: ForwardCache, y: float) -> Gradients:
+def backward(model: Model, cache: ForwardCache, y: float) -> Model:
     """Gradients of the single-example loss."""
     return backward_batch(model, cache, np.asarray([y]))
 
@@ -369,31 +389,17 @@ def _descend(w: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
     return np.subtract(w, d, out=d)
 
 
-def sgd_step(model: Model, grads: Gradients, alpha: float) -> Model:
+def sgd_step(model: Model, grads: Model, alpha: float) -> Model:
     """One gradient-descent update: w_new = w - alpha * dL/dw.
 
     Pure: returns a new Model and writes neither the model nor the grads.
     """
     if alpha <= 0:
         raise ValueError(f"learning rate must be positive, got {alpha}")
-    return Model(
-        config=model.config,
-        conv1=ConvLayer(
-            _descend(model.conv1.kernels, grads.conv1_kernels, alpha),
-            _descend(model.conv1.bias, grads.conv1_bias, alpha),
-        ),
-        conv2=ConvLayer(
-            _descend(model.conv2.kernels, grads.conv2_kernels, alpha),
-            _descend(model.conv2.bias, grads.conv2_bias, alpha),
-        ),
-        dense1=DenseLayer(
-            _descend(model.dense1.weights, grads.dense1_weights, alpha),
-            _descend(model.dense1.bias, grads.dense1_bias, alpha),
-        ),
-        dense_out=DenseLayer(
-            _descend(model.dense_out.weights, grads.dense_out_weights, alpha),
-            _descend(model.dense_out.bias, grads.dense_out_bias, alpha),
-        ),
+    g = parameters(grads)
+    return from_parameters(
+        model.config,
+        {name: _descend(w, g[name], alpha) for name, w in parameters(model).items()},
     )
 
 
@@ -401,61 +407,43 @@ def init_weights(config: ModelConfig, seed=0) -> Model:
     """Glorot-uniform kernels/weights, zero biases, deterministic per seed."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(ss)
-    k = config.kernel_size
-    c = config.input_channels
-    f1, f2 = config.conv_filters
 
-    def glorot(shape, fan_in, fan_out):
-        bound = math.sqrt(6.0 / (fan_in + fan_out))
+    def glorot(shape):
+        receptive = math.prod(shape[:-2])  # k*k for a kernel, 1 for dense weights
+        bound = math.sqrt(6.0 / (receptive * shape[-2] + receptive * shape[-1]))
         return rng.uniform(-bound, bound, size=shape)
 
-    return Model(
-        config=config,
-        conv1=ConvLayer(glorot((k, k, c, f1), k * k * c, k * k * f1), np.zeros(f1)),
-        conv2=ConvLayer(glorot((k, k, f1, f2), k * k * f1, k * k * f2), np.zeros(f2)),
-        dense1=DenseLayer(
-            glorot((config.flat_dim, config.hidden_units), config.flat_dim, config.hidden_units),
-            np.zeros(config.hidden_units),
-        ),
-        dense_out=DenseLayer(
-            glorot((config.hidden_units, 1), config.hidden_units, 1),
-            np.zeros(1),
-        ),
-    )
+    return from_parameters(config, {
+        name: np.zeros(shape) if len(shape) == 1 else glorot(shape)
+        for name, shape in _parameter_shapes(config).items()
+    })
 
 
 # --- checkpoint container: magic, version, json header, raw tensor bytes ---
 
-_TENSOR_ORDER = (
-    ("conv1", "kernels"), ("conv1", "bias"),
-    ("conv2", "kernels"), ("conv2", "bias"),
-    ("dense1", "weights"), ("dense1", "bias"),
-    ("dense_out", "weights"), ("dense_out", "bias"),
-)
-
-
 def save_checkpoint(model: Model, path, extra: dict | None = None) -> None:
     """Write the model to a deterministic, value-exact binary container."""
-    tensors = [getattr(getattr(model, layer), part) for layer, part in _TENSOR_ORDER]
+    params = parameters(model)
     header = {
         "model_config": dataclasses.asdict(model.config),
         "extra": extra or {},
-        "tensors": [
-            {"name": f"{layer}.{part}", "shape": list(t.shape)}
-            for (layer, part), t in zip(_TENSOR_ORDER, tensors)
-        ],
+        "tensors": [{"name": name, "shape": list(t.shape)} for name, t in params.items()],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
         fh.write(blob)
-        for t in tensors:
+        for t in params.values():
             fh.write(np.ascontiguousarray(t, dtype=np.float64).tobytes())
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
-    """Read a checkpoint back; returns (model, extra-config dict)."""
+    """Read a checkpoint back; returns (model, extra-config dict).
+
+    The header must list exactly the tensors, in order and shape, that its
+    model config implies, and their data must end at the end of the file.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -478,28 +466,21 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         cfg_dict = dict(header["model_config"])
         cfg_dict["conv_filters"] = tuple(cfg_dict["conv_filters"])
         config = ModelConfig(**cfg_dict)
-        specs = header["tensors"]
+        shapes = _parameter_shapes(config)
+        listed = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed header ({exc})") from exc
-
-    arrays = {}
-    for spec in specs:
-        shape = tuple(spec["shape"])
-        nbytes = int(np.prod(shape)) * 8
-        chunk = data[pos : pos + nbytes]
-        if len(chunk) != nbytes:
-            raise CorruptCheckpoint(f"{path}: truncated tensor {spec['name']}")
-        arrays[spec["name"]] = np.frombuffer(chunk, dtype=np.float64).reshape(shape).copy()
-        pos += nbytes
-
-    try:
-        model = Model(
-            config=config,
-            conv1=ConvLayer(arrays["conv1.kernels"], arrays["conv1.bias"]),
-            conv2=ConvLayer(arrays["conv2.kernels"], arrays["conv2.bias"]),
-            dense1=DenseLayer(arrays["dense1.weights"], arrays["dense1.bias"]),
-            dense_out=DenseLayer(arrays["dense_out.weights"], arrays["dense_out.bias"]),
+    if listed != list(shapes.items()):
+        raise CorruptCheckpoint(
+            f"{path}: tensors {listed} do not match the model config's {list(shapes.items())}"
         )
-    except KeyError as exc:
-        raise CorruptCheckpoint(f"{path}: missing tensor {exc}") from exc
-    return model, header.get("extra", {})
+
+    nbytes = 8 * sum(math.prod(shape) for shape in shapes.values())
+    if len(data) - pos != nbytes:
+        raise CorruptCheckpoint(f"{path}: {len(data) - pos} bytes of tensor data, expected {nbytes}")
+    params = {}
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        params[name] = np.frombuffer(data, np.float64, size, pos).reshape(shape).copy()
+        pos += 8 * size
+    return from_parameters(config, params), header.get("extra", {})

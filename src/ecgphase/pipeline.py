@@ -27,14 +27,16 @@ from .rasterizer import AugmentParams, augment
 from .record_io import Label, load_labels
 
 # Published record grouping: 8 + 25 train, 3 + 8 test.
-TRAIN_HEALTHY = ("101", "113", "115", "117", "121", "122", "123", "230")
-TEST_HEALTHY = ("103", "112", "234")
-TRAIN_UNHEALTHY = (
-    "106", "108", "109", "114", "116", "118", "119", "124", "201", "203",
-    "205", "207", "208", "209", "214", "215", "219", "220", "221", "222",
-    "223", "228", "231", "232", "233",
-)
-TEST_UNHEALTHY = ("100", "105", "111", "200", "202", "210", "212", "213")
+PUBLISHED_SPLIT = {
+    "train_healthy": ("101", "113", "115", "117", "121", "122", "123", "230"),
+    "train_unhealthy": (
+        "106", "108", "109", "114", "116", "118", "119", "124", "201", "203",
+        "205", "207", "208", "209", "214", "215", "219", "220", "221", "222",
+        "223", "228", "231", "232", "233",
+    ),
+    "test_healthy": ("103", "112", "234"),
+    "test_unhealthy": ("100", "105", "111", "200", "202", "210", "212", "213"),
+}
 
 DECISION_THRESHOLD = 0.5  # p >= threshold predicts unhealthy
 
@@ -58,14 +60,19 @@ class DatasetSplit:
         return tuple(rid for rid, _ in self.train) + tuple(rid for rid, _ in self.test)
 
 
+def split_from_quadrants(q: dict) -> DatasetSplit:
+    """The split of a table keyed like PUBLISHED_SPLIT."""
+    return DatasetSplit(
+        train=tuple((rid, Label.HEALTHY) for rid in q["train_healthy"])
+        + tuple((rid, Label.UNHEALTHY) for rid in q["train_unhealthy"]),
+        test=tuple((rid, Label.HEALTHY) for rid in q["test_healthy"])
+        + tuple((rid, Label.UNHEALTHY) for rid in q["test_unhealthy"]),
+    )
+
+
 def default_split() -> DatasetSplit:
     """The published train/test grouping of the 44 records."""
-    return DatasetSplit(
-        train=tuple((rid, Label.HEALTHY) for rid in TRAIN_HEALTHY)
-        + tuple((rid, Label.UNHEALTHY) for rid in TRAIN_UNHEALTHY),
-        test=tuple((rid, Label.HEALTHY) for rid in TEST_HEALTHY)
-        + tuple((rid, Label.UNHEALTHY) for rid in TEST_UNHEALTHY),
-    )
+    return split_from_quadrants(PUBLISHED_SPLIT)
 
 
 @dataclass(frozen=True)

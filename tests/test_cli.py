@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +224,22 @@ class TestUsage:
         ("train", '{"epochs": "5"}'),
         ("render", '{"derivative_scheme": "bogus"}'),
         ("train", '{"epochs": 5,'),
+        ("ingest", '{"synth": true, "seed": "x"}'),
+        ("ingest", '{"synth": true, "seed": -1}'),
+        ("ingest", '{"synth": true, "synth_duration_s": "x"}'),
+        ("train", '{"seed": "x"}'),
+        ("train", '{"seed": -1}'),
+        ("train", '{"synth_duration_s": "x"}'),
+        ("train", '{"epochs": 1.0}'),
+        ("train", '{"epochs": true}'),
+        ("train", '{"learning_rate": NaN}'),
+        ("render", '{"viewport_margin": "x"}'),
+        ("render", '{"viewport_margin": -1.0}'),
+        ("render", '{"q_window_ms": "x"}'),
+        ("train", '{"horizontal_flip": "no"}'),
+        ("train", '{"split": {"train_healthy": ["101"], "test_healthy": ["103"]}}'),
+        ("train", '{"split": {"train_healthy": ["101"], "train_unhealthy": ["106"], '
+                  '"test_healthy": "103", "test_unhealthy": ["100"]}}'),
     ])
     def test_bad_config_file_is_usage_error(self, tmp_path, command, text):
         bad = tmp_path / "bad.json"
@@ -229,6 +247,22 @@ class TestUsage:
         out = tmp_path / "o"
         code = run([command, "--config", str(bad), "--output-dir", str(out)])
         assert code == cli.EXIT_USAGE
+
+    def test_every_field_but_split_is_a_flag(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["train", "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        for f in dataclasses.fields(cli.RunConfig):
+            assert ("--" + f.name.replace("_", "-") in flags) == (f.name != "split"), f.name
+
+        cfg, out = fast_config(tmp_path, "flags")
+        # the config file sets synth_duration_s 4.0; the flag wins
+        flags = ["--no-horizontal-flip", "--channel", "V1", "--synth-duration-s", "3"]
+        assert run(["ingest", "--config", str(cfg), *flags]) == 0
+        resolved = json.loads((out / "run_config.json").read_text())
+        assert resolved["horizontal_flip"] is False
+        assert resolved["channel"] == "V1"
+        assert resolved["synth_duration_s"] == 3.0
 
     def test_flag_overrides_config_file(self, tmp_path):
         cfg, out = fast_config(tmp_path, "o", seed=3)

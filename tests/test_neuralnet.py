@@ -1,4 +1,8 @@
+import dataclasses
+import hashlib
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -14,13 +18,16 @@ from oracles import (
     PARAM_TENSORS,
     conv2d_naive,
     dense_naive,
-    gradients_as_dict,
     im2col_loop,
     max_gradient_error,
     maxpool_naive,
 )
 
 TINY = nn.ModelConfig(input_size=8, conv_filters=(2, 2), hidden_units=4)
+
+# sha256 of save_checkpoint(init_weights(TINY, seed=5), extra={"k": 1}); any
+# change to the format, the tensor order or the initializer changes it
+GOLDEN_CKPT_SHA256 = "54d3e2c655cbdaee7f34a7b8fb5f717ae02fcfb88ebb1b5b10550bca189efb89"
 
 
 def zero_model(config=TINY):
@@ -255,7 +262,7 @@ class TestBackward:
         x = np.random.default_rng(0).uniform(0, 1, (8, 8, 3))
         p, cache = nn.forward(model, x)
         grads = nn.backward(model, cache, 1.0)
-        assert grads.dense_out_bias[0] == pytest.approx(p - 1.0)  # = -0.5
+        assert grads.dense_out.bias[0] == pytest.approx(p - 1.0)  # = -0.5
 
     def test_missing_cache(self):
         model = zero_model()
@@ -282,8 +289,8 @@ class TestBackward:
         x = np.random.default_rng(5).uniform(0, 1, (8, 8, 3))
         _, cache = nn.forward(model, x)
         grads = nn.backward(model, cache, 1.0)
-        assert np.all(grads.conv1_kernels == 0.0)
-        assert np.all(grads.conv1_bias == 0.0)
+        assert np.all(grads.conv1.kernels == 0.0)
+        assert np.all(grads.conv1.bias == 0.0)
 
 
 class TestSgdStep:
@@ -296,16 +303,10 @@ class TestSgdStep:
             dense1=model.dense1,
             dense_out=nn.DenseLayer(np.full((4, 1), 1.0), np.zeros(1)),
         )
-        grads = nn.Gradients(
-            conv1_kernels=np.zeros_like(model.conv1.kernels),
-            conv1_bias=np.zeros_like(model.conv1.bias),
-            conv2_kernels=np.zeros_like(model.conv2.kernels),
-            conv2_bias=np.zeros_like(model.conv2.bias),
-            dense1_weights=np.zeros_like(model.dense1.weights),
-            dense1_bias=np.zeros_like(model.dense1.bias),
-            dense_out_weights=np.full((4, 1), 2.0),
-            dense_out_bias=np.zeros(1),
-        )
+        grads = nn.from_parameters(model.config, {
+            **{name: np.zeros_like(t) for name, t in nn.parameters(model).items()},
+            "dense_out.weights": np.full((4, 1), 2.0),
+        })
         stepped = nn.sgd_step(model, grads, 0.1)
         assert np.allclose(stepped.dense_out.weights, 0.8)
         twice = nn.sgd_step(stepped, grads, 0.1)
@@ -316,10 +317,9 @@ class TestSgdStep:
         x = np.random.default_rng(0).uniform(0, 1, (8, 8, 3))
         _, cache = nn.forward(model, x)
         grads = nn.backward(model, cache, 1.0)
-        zeroed = nn.Gradients(**{
-            f.name: np.zeros_like(getattr(grads, f.name))
-            for f in grads.__dataclass_fields__.values()
-        })
+        zeroed = nn.from_parameters(
+            grads.config, {name: np.zeros_like(g) for name, g in nn.parameters(grads).items()}
+        )
         stepped = nn.sgd_step(model, zeroed, 0.5)
         assert np.array_equal(stepped.conv1.kernels, model.conv1.kernels)
         assert np.array_equal(stepped.dense1.weights, model.dense1.weights)
@@ -336,17 +336,14 @@ class TestSgdStep:
             assert nn.bce_loss(p1, 1.0) < loss0
 
     def test_step_is_pure(self):
-        def tensors(m):
-            return {f"{layer}.{part}": getattr(getattr(m, layer), part) for layer, part in PARAM_TENSORS}
-
         model = nn.init_weights(TINY, seed=6)
         x = np.random.default_rng(1).uniform(0, 1, (8, 8, 3))
         _, cache = nn.forward(model, x)
         grads = nn.backward(model, cache, 1.0)
-        old, g = tensors(model), gradients_as_dict(grads)
+        old, g = nn.parameters(model), nn.parameters(grads)
         old_copy = {k: v.copy() for k, v in old.items()}
         g_copy = {k: v.copy() for k, v in g.items()}
-        new = tensors(nn.sgd_step(model, grads, 0.1))
+        new = nn.parameters(nn.sgd_step(model, grads, 0.1))
         for name in new:
             assert np.array_equal(old[name], old_copy[name])
             assert np.array_equal(g[name], g_copy[name])
@@ -409,3 +406,42 @@ class TestCheckpoint:
         nn.save_checkpoint(model, a, extra={"k": 1})
         nn.save_checkpoint(model, b, extra={"k": 1})
         assert a.read_bytes() == b.read_bytes()
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(nn.init_weights(TINY, seed=5), path, extra={"k": 1})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CKPT_SHA256
+
+    def test_parameters_in_checkpoint_order(self):
+        model = nn.init_weights(TINY, seed=5)
+        assert tuple(nn.parameters(model)) == PARAM_TENSORS
+        assert model.parameter_count() == (54 + 2) + (36 + 2) + (32 + 4) + (4 + 1)
+
+    @pytest.mark.parametrize("edit", [
+        # a one-element conv1 bias would broadcast silently if it loaded
+        lambda cfg, params: params.update({"conv1.bias": params["conv1.bias"][:1]}),
+        lambda cfg, params: cfg.update(input_size=8.0),
+    ], ids=["short_bias", "float_input_size"])
+    def test_header_disagreeing_with_config(self, tmp_path, edit):
+        cfg = dataclasses.asdict(TINY)
+        params = nn.parameters(nn.init_weights(TINY, seed=5))
+        edit(cfg, params)
+        header = json.dumps({
+            "model_config": cfg,
+            "extra": {},
+            "tensors": [{"name": n, "shape": list(t.shape)} for n, t in params.items()],
+        }).encode()
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(
+            nn._CKPT_MAGIC + struct.pack("<II", nn._CKPT_VERSION, len(header)) + header
+            + b"".join(t.tobytes() for t in params.values())
+        )
+        with pytest.raises(CorruptCheckpoint):
+            nn.load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(nn.init_weights(TINY, seed=5), path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(CorruptCheckpoint):
+            nn.load_checkpoint(path)
