@@ -169,6 +169,13 @@ def _write_resolved_config(config: RunConfig, command: str) -> None:
     _write_json(out / "run_config.json", {"command": command, **config.as_dict()})
 
 
+def _remove_files(directory: Path, *patterns: str) -> None:
+    """Delete an earlier run's outputs, so its records cannot outlive it."""
+    for pattern in patterns:
+        for path in directory.glob(pattern):
+            path.unlink()
+
+
 # --- signal cache ---
 
 def _save_signal(config: RunConfig, signal: Signal) -> None:
@@ -272,6 +279,7 @@ def cmd_ingest(config: RunConfig) -> int:
     if not signals:
         raise NoRecords("every record failed to ingest")
 
+    _remove_files(config.signals_dir(), "*.npy", "*.json")
     for rid in sorted(signals):
         _save_signal(config, signals[rid])
     _write_json(config.signals_dir() / "skipped.json", skipped)
@@ -284,6 +292,7 @@ def cmd_render(config: RunConfig) -> int:
     signals = _load_cached_signals(config)
     img_dir = config.images_dir()
     img_dir.mkdir(parents=True, exist_ok=True)
+    _remove_files(img_dir, "*.ppm")
     scheme = config.scheme()
     skipped: dict[str, str] = {}
     rendered = 0

@@ -99,9 +99,5 @@ class EmptySet(EcgPhaseError, ValueError):
     """Evaluation requires at least one example."""
 
 
-class EmptyInput(EcgPhaseError, ValueError):
-    """Accuracy of zero predictions is undefined."""
-
-
 class IoFailure(EcgPhaseError, OSError):
     """Could not write an output file."""

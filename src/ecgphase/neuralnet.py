@@ -129,15 +129,12 @@ def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 class ForwardCache:
     """Intermediates the backward pass needs, in forward order."""
 
-    x: np.ndarray
     cols1: np.ndarray
     z1: np.ndarray
     pool1_arg: np.ndarray
-    p1: np.ndarray
     cols2: np.ndarray
     z2: np.ndarray
     pool2_arg: np.ndarray
-    p2: np.ndarray
     flat: np.ndarray
     zd: np.ndarray
     ad: np.ndarray
@@ -320,20 +317,11 @@ def forward_batch(model: Model, images: np.ndarray) -> tuple[np.ndarray, Forward
     prob = sigmoid(logit[:, 0])
 
     cache = ForwardCache(
-        x=x, cols1=cols1, z1=z1, pool1_arg=arg1, p1=p1,
-        cols2=cols2, z2=z2, pool2_arg=arg2, p2=p2,
+        cols1=cols1, z1=z1, pool1_arg=arg1,
+        cols2=cols2, z2=z2, pool2_arg=arg2,
         flat=flat, zd=zd, ad=ad, prob=prob,
     )
     return prob, cache
-
-
-def forward(model: Model, image: np.ndarray) -> tuple[float, ForwardCache]:
-    """Probability that a single (s, s, c) image is the positive class."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 3:
-        raise ShapeMismatch(f"expected a single (h, w, c) image, got shape {img.shape}")
-    prob, cache = forward_batch(model, img[None])
-    return float(prob[0]), cache
 
 
 def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Model:
@@ -356,14 +344,14 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Mod
     dW1 = cache.flat.T @ dzd
     db1 = dzd.sum(axis=0)
     dflat = dzd @ model.dense1.weights.T
-    dp2 = dflat.reshape(cache.p2.shape)
+    dp2 = dflat.reshape(cache.pool2_arg.shape)
 
     # ReLU masks go in place on the fresh pool-backward outputs; conv1's
     # input gradient is never needed, so it is never computed
     dz2 = _pool_backward(dp2, cache.pool2_arg, cache.z2.shape)
     np.multiply(dz2, cache.z2 > 0, out=dz2)
     dk2, dbc2 = _conv_param_grads(cache.cols2, model.conv2, dz2)
-    dp1 = _conv_input_grad(model.conv2, dz2, cache.p1.shape)
+    dp1 = _conv_input_grad(model.conv2, dz2, cache.pool1_arg.shape)
 
     dz1 = _pool_backward(dp1, cache.pool1_arg, cache.z1.shape)
     np.multiply(dz1, cache.z1 > 0, out=dz1)
@@ -376,11 +364,6 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Mod
         DenseLayer(dW1, db1),
         DenseLayer(dW_out, db_out),
     )
-
-
-def backward(model: Model, cache: ForwardCache, y: float) -> Model:
-    """Gradients of the single-example loss."""
-    return backward_batch(model, cache, np.asarray([y]))
 
 
 def _descend(w: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:

@@ -25,11 +25,6 @@ class DerivativeScheme(enum.Enum):
     def min_samples(self) -> int:
         return 2 if self is DerivativeScheme.FIRST_ORDER_FORWARD else 4
 
-    @property
-    def tail(self) -> int:
-        """Samples at the end of the signal with no derivative value."""
-        return self.min_samples - 1
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -155,10 +150,3 @@ def chord_for_signal(
     q_idx = min(detect_q_point(signal, r_idx, window_ms), last)
     return qr_chord(trajectory, q_idx, r_idx)
 
-
-def save_trajectory_csv(trajectory: Trajectory, path) -> None:
-    """Write the trajectory as CSV with columns v_mV,dv_mV_per_s."""
-    with open(path, "w", newline="") as fh:
-        fh.write("v_mV,dv_mV_per_s\n")
-        for v, dv in trajectory.points:
-            fh.write(f"{v:.9g},{dv:.9g}\n")

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    EmptyInput,
     EmptySet,
     EmptyTrainSet,
     IoFailure,
@@ -24,7 +23,7 @@ from .errors import (
 )
 from .neuralnet import Model, backward_batch, bce_loss, forward_batch, sgd_step
 from .rasterizer import AugmentParams, augment
-from .record_io import Label, load_labels
+from .record_io import Label
 
 # Published record grouping: 8 + 25 train, 3 + 8 test.
 PUBLISHED_SPLIT = {
@@ -179,17 +178,14 @@ class RunReport:
 
 def build_dataset(
     images: dict[str, np.ndarray],
-    labels: dict[str, Label] | None = None,
-    split: DatasetSplit | None = None,
+    labels: dict[str, Label],
+    split: DatasetSplit,
 ) -> tuple[list[LabeledImage], list[LabeledImage]]:
     """Assemble (train, test) labeled-image lists for the split.
 
     Raises LabelMismatch when a split record is missing from the label table
     or carries a different label there, MissingImage when no image exists.
     """
-    labels = load_labels() if labels is None else labels
-    split = default_split() if split is None else split
-
     def lookup(pairs) -> list[LabeledImage]:
         out = []
         for rid, label in pairs:
@@ -330,17 +326,6 @@ def evaluate(model: Model, labeled_set: list[LabeledImage]) -> EvalReport:
     )
 
 
-def accuracy(predictions, labels) -> float:
-    """Fraction of matching entries."""
-    predictions = list(predictions)
-    labels = list(labels)
-    if not predictions:
-        raise EmptyInput("no predictions to score")
-    if len(predictions) != len(labels):
-        raise ValueError(f"{len(predictions)} predictions vs {len(labels)} labels")
-    return sum(p == l for p, l in zip(predictions, labels)) / len(labels)
-
-
 def build_report(
     seed: int,
     config: dict,
@@ -375,23 +360,3 @@ def emit_curves(metrics: list[EpochMetrics], path) -> None:
     except OSError as exc:
         raise IoFailure(f"cannot write metrics to {path}: {exc}") from exc
 
-
-def read_curves(path) -> list[EpochMetrics]:
-    """Read a metrics CSV back (inverse of emit_curves at 1e-6 precision)."""
-    metrics = []
-    with open(path, newline="") as fh:
-        header = fh.readline()
-        if header.strip() != "epoch,train_loss,train_acc,test_loss,test_acc":
-            raise ValueError(f"unexpected curves header: {header!r}")
-        for line in fh:
-            epoch, tl, ta, vl, va = line.strip().split(",")
-            metrics.append(
-                EpochMetrics(
-                    epoch=int(epoch),
-                    train_loss=float(tl),
-                    train_accuracy=float(ta),
-                    test_loss=float(vl),
-                    test_accuracy=float(va),
-                )
-            )
-    return metrics

@@ -49,10 +49,6 @@ class AugmentParams:
         if not 0 <= self.shear_range < math.pi / 2:
             raise ValueError(f"shear_range {self.shear_range} outside [0, pi/2)")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.zoom_range == 0 and self.shear_range == 0 and not self.horizontal_flip
-
 
 def fit_viewport(trajectory: Trajectory, margin: float = 0.05) -> Viewport:
     """Tight bounding box of the trajectory, expanded by margin per side.

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,9 @@ from .errors import (
 )
 
 SUPPORTED_FORMATS = frozenset({212})
+
+# header(5) ADC gain field: gain[(baseline)][/units]
+_GAIN_FIELD = re.compile(r"([^(/]+)(?:\((.*)\))?(?:/.*)?")
 
 # Fixed grouping of the 44 usable records. 102/104 lack the MLII channel and
 # 107/217 are paced, so all four are excluded from the table.
@@ -113,24 +117,28 @@ class Signal:
 def parse_header(text: str) -> RecordHeader:
     """Parse record header text.
 
-    Layout: first line ``record_id n_channels sampling_rate n_samples``,
-    then one line per channel with tokens
-    ``filename format gain adc_res baseline [extras...] channel_name``
-    (the channel name is the last token). Extra tokens between the baseline
-    and the name, and any trailing header lines starting with ``#``, are
-    ignored.
+    Layout (WFDB header(5)): first line
+    ``record_id n_channels sampling_rate n_samples [base_time [base_date]]``,
+    where the rate may carry a counter frequency (``360/10``), then one line
+    per channel with tokens
+    ``filename format gain adc_res adc_zero [extras...] channel_name``
+    (the channel name is the last token). The gain may be written
+    ``200``, ``200/mV`` or ``200(0)/mV``; the baseline is the parenthesized
+    value when present and adc_zero otherwise. Base time and date, extra
+    tokens between adc_zero and the name, and any header lines starting
+    with ``#`` are ignored.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise MalformedHeader("empty header")
 
     first = lines[0].split()
-    if len(first) != 4:
-        raise MalformedHeader(f"first line needs 4 tokens, got {len(first)}: {lines[0]!r}")
+    if not 4 <= len(first) <= 6:
+        raise MalformedHeader(f"first line needs 4 to 6 tokens, got {len(first)}: {lines[0]!r}")
     record_id = first[0]
     try:
         n_channels = int(first[1])
-        sampling_rate = float(first[2])
+        sampling_rate = float(first[2].split("/")[0])
         n_samples = int(first[3])
     except ValueError as exc:
         raise MalformedHeader(f"non-numeric field in first line: {lines[0]!r}") from exc
@@ -145,10 +153,13 @@ def parse_header(text: str) -> RecordHeader:
         tokens = ln.split()
         if len(tokens) < 6:
             raise MalformedHeader(f"channel line needs at least 6 tokens: {ln!r}")
+        gain_field = _GAIN_FIELD.fullmatch(tokens[2])
+        if gain_field is None:
+            raise MalformedHeader(f"bad gain field in channel line: {ln!r}")
         try:
             format_code = int(tokens[1])
-            gain = float(tokens[2])
-            baseline = int(tokens[4])
+            gain = float(gain_field[1])
+            baseline = int(tokens[4] if gain_field[2] is None else gain_field[2])
         except ValueError as exc:
             raise MalformedHeader(f"non-numeric field in channel line: {ln!r}") from exc
         channels.append(
@@ -247,16 +258,14 @@ def select_channel(header: RecordHeader, raw: np.ndarray, name: str) -> Signal:
     raise ChannelAbsent(f"record {header.record_id!r} has channels {present}, not {name!r}")
 
 
-def load_record(header_path, signal_path=None, channel: str = "MLII") -> Signal:
+def load_record(header_path, channel: str = "MLII") -> Signal:
     """Read a header/.dat pair from disk and return the named channel."""
     from pathlib import Path
 
     header_path = Path(header_path)
     header = parse_header(header_path.read_text())
-    if signal_path is None:
-        signal_path = header_path.with_suffix(".dat")
     raw = decode_format212(
-        Path(signal_path).read_bytes(), header.n_samples, header.n_channels
+        header_path.with_suffix(".dat").read_bytes(), header.n_samples, header.n_channels
     )
     return select_channel(header, raw, channel)
 

@@ -109,8 +109,8 @@ def numeric_gradients(model, x, y, eps=1e-4):
             m_minus = dataclasses.replace(
                 model, **{layer_name: dataclasses.replace(layer, **{part: minus})}
             )
-            p_plus, _ = nn.forward(m_plus, x)
-            p_minus, _ = nn.forward(m_minus, x)
+            p_plus, _ = nn.forward_batch(m_plus, x[None])
+            p_minus, _ = nn.forward_batch(m_minus, x[None])
             grad[idx] = (nn.bce_loss(p_plus, y) - nn.bce_loss(p_minus, y)) / (2 * eps)
         out[name] = grad
     return out
@@ -118,8 +118,8 @@ def numeric_gradients(model, x, y, eps=1e-4):
 
 def max_gradient_error(model, x, y, eps=1e-4):
     """Worst relative disagreement between backprop and finite differences."""
-    _, cache = nn.forward(model, x)
-    analytic = nn.parameters(nn.backward(model, cache, y))
+    _, cache = nn.forward_batch(model, x[None])
+    analytic = nn.parameters(nn.backward_batch(model, cache, np.array([y])))
     numeric = numeric_gradients(model, x, y, eps)
     worst = 0.0
     for name in PARAM_TENSORS:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ecgphase import cli, record_io
+from ecgphase.errors import MissingImage
 from ecgphase.rasterizer import read_ppm
 
 
@@ -27,6 +28,21 @@ def fast_config(tmp_path, name, seed=0):
     return path, tmp_path / name
 
 
+def write_disk_records(data, first_channels, n_samples=40):
+    """Two-lead format-212 records: record id -> name of the first lead."""
+    data.mkdir(exist_ok=True)
+    header = (
+        "{rid} 2 360 {n}\n"
+        "{rid}.dat 212 200 11 1024 0 0 0 {ch0}\n"
+        "{rid}.dat 212 200 11 1024 0 0 0 V5\n"
+    )
+    rng = np.random.default_rng(0)
+    for rid, ch0 in first_channels.items():
+        (data / f"{rid}.hea").write_text(header.format(rid=rid, n=n_samples, ch0=ch0))
+        adu = rng.integers(-1000, 1000, size=(n_samples, 2))
+        (data / f"{rid}.dat").write_bytes(record_io.encode_format212(adu))
+
+
 class TestIngest:
     def test_synth_corpus(self, tmp_path):
         cfg, out = fast_config(tmp_path, "a")
@@ -45,23 +61,26 @@ class TestIngest:
 
     def test_disk_records_with_exclusions(self, tmp_path):
         data = tmp_path / "data"
-        data.mkdir()
-        header = (
-            "{rid} 2 360 40\n"
-            "{rid}.dat 212 200 11 1024 0 0 0 {ch0}\n"
-            "{rid}.dat 212 200 11 1024 0 0 0 V5\n"
-        )
-        rng = np.random.default_rng(0)
-        for rid, ch0 in (("100", "MLII"), ("101", "MLII"), ("102", "V2"), ("107", "MLII")):
-            (data / f"{rid}.hea").write_text(header.format(rid=rid, ch0=ch0))
-            adu = rng.integers(-1000, 1000, size=(40, 2))
-            (data / f"{rid}.dat").write_bytes(record_io.encode_format212(adu))
+        write_disk_records(data, {"100": "MLII", "101": "MLII", "102": "V2", "107": "MLII"})
         out = tmp_path / "out"
         assert run(["ingest", "--data-dir", str(data), "--output-dir", str(out)]) == 0
         ingested = sorted(p.stem for p in (out / "signals").glob("*.npy"))
         assert ingested == ["100", "101"]
         skipped = json.loads((out / "signals" / "skipped.json").read_text())
         assert set(skipped) == {"102", "107"}
+
+    def test_reingest_replaces_signal_cache(self, tmp_path):
+        out = tmp_path / "out"
+        write_disk_records(tmp_path / "first", {"100": "MLII", "101": "MLII"})
+        write_disk_records(tmp_path / "second", {"103": "MLII"})
+        for data in ("first", "second"):
+            args = ["--data-dir", str(tmp_path / data), "--output-dir", str(out)]
+            assert run(["ingest", *args]) == 0
+        assert sorted(p.name for p in (out / "signals").iterdir()) == [
+            "103.json", "103.npy", "skipped.json",
+        ]
+        assert run(["render", "--output-dir", str(out)]) == 0
+        assert [p.stem for p in (out / "images").glob("*.ppm")] == ["103"]
 
     def test_empty_directory_is_data_error(self, tmp_path):
         empty = tmp_path / "none"
@@ -103,6 +122,19 @@ class TestRender:
         skipped = json.loads((out / "images" / "render_skipped.json").read_text())
         assert "999" in skipped
         assert not (out / "images" / "999.ppm").exists()
+
+    def test_rerender_removes_image_of_skipped_record(self, tmp_path):
+        out = tmp_path / "out"
+        config = cli.RunConfig(output_dir=str(out))
+        cli._save_signal(config, record_io.synth_ecg(2.0, 360.0, record_id="999"))
+        assert run(["render", "--output-dir", str(out)]) == 0
+        assert (out / "images" / "999.ppm").exists()
+        # the same record re-ingested too short to embed
+        cli._save_signal(config, record_io.Signal("999", "MLII", 360.0, np.zeros(3)))
+        assert run(["render", "--output-dir", str(out)]) == 0
+        assert not (out / "images" / "999.ppm").exists()
+        with pytest.raises(MissingImage):
+            cli._load_images(config, ["999"])
 
 
 @pytest.fixture(scope="module")

@@ -230,44 +230,45 @@ class TestForward:
     def test_zero_model_gives_half(self):
         model = zero_model()
         x = np.random.default_rng(0).uniform(0, 1, (8, 8, 3))
-        p, _ = nn.forward(model, x)
-        assert p == 0.5
+        p, _ = nn.forward_batch(model, x[None])
+        assert p[0] == 0.5
 
     def test_shape_chain_default_architecture(self):
         model = nn.init_weights(nn.ModelConfig(), seed=0)
         x = np.random.default_rng(1).uniform(0, 1, (64, 64, 3))
-        p, cache = nn.forward(model, x)
-        assert 0.0 < p < 1.0
+        p, cache = nn.forward_batch(model, x[None])
+        assert 0.0 < p[0] < 1.0
         assert cache.z1.shape == (1, 64, 64, 32)
-        assert cache.p1.shape == (1, 32, 32, 32)
+        assert cache.pool1_arg.shape == (1, 32, 32, 32)
         assert cache.z2.shape == (1, 32, 32, 64)
-        assert cache.p2.shape == (1, 16, 16, 64)
+        assert cache.pool2_arg.shape == (1, 16, 16, 64)
         assert cache.flat.shape == (1, 16384)
         assert cache.zd.shape == (1, 128)
 
     def test_deterministic(self):
         model = nn.init_weights(TINY, seed=3)
         x = np.random.default_rng(2).uniform(0, 1, (8, 8, 3))
-        assert nn.forward(model, x)[0] == nn.forward(model, x)[0]
+        p, _ = nn.forward_batch(model, x[None])
+        assert np.array_equal(nn.forward_batch(model, x[None])[0], p)
 
     def test_shape_mismatch(self):
         model = nn.init_weights(TINY, seed=0)
         with pytest.raises(ShapeMismatch):
-            nn.forward(model, np.zeros((16, 16, 3)))
+            nn.forward_batch(model, np.zeros((1, 16, 16, 3)))
 
 
 class TestBackward:
     def test_fused_output_gradient_on_zero_model(self):
         model = zero_model()
         x = np.random.default_rng(0).uniform(0, 1, (8, 8, 3))
-        p, cache = nn.forward(model, x)
-        grads = nn.backward(model, cache, 1.0)
-        assert grads.dense_out.bias[0] == pytest.approx(p - 1.0)  # = -0.5
+        p, cache = nn.forward_batch(model, x[None])
+        grads = nn.backward_batch(model, cache, np.array([1.0]))
+        assert grads.dense_out.bias[0] == pytest.approx(p[0] - 1.0)  # = -0.5
 
     def test_missing_cache(self):
         model = zero_model()
         with pytest.raises(MissingCache):
-            nn.backward(model, None, 1.0)
+            nn.backward_batch(model, None, np.array([1.0]))
 
     def test_finite_difference_check(self):
         for seed in range(3):
@@ -287,8 +288,8 @@ class TestBackward:
             dense_out=model.dense_out,
         )
         x = np.random.default_rng(5).uniform(0, 1, (8, 8, 3))
-        _, cache = nn.forward(model, x)
-        grads = nn.backward(model, cache, 1.0)
+        _, cache = nn.forward_batch(model, x[None])
+        grads = nn.backward_batch(model, cache, np.array([1.0]))
         assert np.all(grads.conv1.kernels == 0.0)
         assert np.all(grads.conv1.bias == 0.0)
 
@@ -315,8 +316,8 @@ class TestSgdStep:
     def test_zero_gradient_is_noop(self):
         model = nn.init_weights(TINY, seed=2)
         x = np.random.default_rng(0).uniform(0, 1, (8, 8, 3))
-        _, cache = nn.forward(model, x)
-        grads = nn.backward(model, cache, 1.0)
+        _, cache = nn.forward_batch(model, x[None])
+        grads = nn.backward_batch(model, cache, np.array([1.0]))
         zeroed = nn.from_parameters(
             grads.config, {name: np.zeros_like(g) for name, g in nn.parameters(grads).items()}
         )
@@ -329,17 +330,17 @@ class TestSgdStep:
         for alpha in (1e-3, 1e-4):
             model = nn.init_weights(TINY, seed=4)
             x = np.random.default_rng(6).uniform(0, 1, (8, 8, 3))
-            p0, cache = nn.forward(model, x)
+            p0, cache = nn.forward_batch(model, x[None])
             loss0 = nn.bce_loss(p0, 1.0)
-            stepped = nn.sgd_step(model, nn.backward(model, cache, 1.0), alpha)
-            p1, _ = nn.forward(stepped, x)
+            stepped = nn.sgd_step(model, nn.backward_batch(model, cache, np.array([1.0])), alpha)
+            p1, _ = nn.forward_batch(stepped, x[None])
             assert nn.bce_loss(p1, 1.0) < loss0
 
     def test_step_is_pure(self):
         model = nn.init_weights(TINY, seed=6)
         x = np.random.default_rng(1).uniform(0, 1, (8, 8, 3))
-        _, cache = nn.forward(model, x)
-        grads = nn.backward(model, cache, 1.0)
+        _, cache = nn.forward_batch(model, x[None])
+        grads = nn.backward_batch(model, cache, np.array([1.0]))
         old, g = nn.parameters(model), nn.parameters(grads)
         old_copy = {k: v.copy() for k, v in old.items()}
         g_copy = {k: v.copy() for k, v in g.items()}

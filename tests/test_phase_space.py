@@ -162,15 +162,3 @@ class TestChord:
         chord = phase_space.chord_for_signal(sig, traj)
         assert chord.r_index == len(traj) - 1
 
-
-def test_trajectory_csv_roundtrip(tmp_path):
-    sig = record_io.synth_ecg(1.0, 360.0, heart_rate=60.0, noise_amp=0.0)
-    traj = phase_space.embed(sig)
-    path = tmp_path / "traj.csv"
-    phase_space.save_trajectory_csv(traj, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "v_mV,dv_mV_per_s"
-    assert len(rows) == len(traj) + 1
-    v, dv = map(float, rows[1].split(","))
-    assert v == pytest.approx(traj.v[0], rel=1e-8)
-    assert dv == pytest.approx(traj.dv[0], rel=1e-8)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ecgphase import phase_space, rasterizer, record_io
 from ecgphase.errors import MalformedPPM
@@ -87,6 +90,11 @@ class TestRasterize:
         assert np.array_equal(img[:, :, 0], img[:, :, 2])
 
 
+images = hnp.arrays(
+    np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24), st.just(3))
+)
+
+
 def checkerboard():
     rng = np.random.default_rng(21)
     return rng.integers(0, 256, size=(64, 64, 3)).astype(np.uint8)
@@ -109,6 +117,14 @@ class TestAugment:
         once = rasterizer.apply_affine(img, 1.0, 0.0, True)
         twice = rasterizer.apply_affine(once, 1.0, 0.0, True)
         assert np.array_equal(twice, img)
+
+    @settings(max_examples=40, deadline=None)
+    @given(images)
+    def test_identity_and_double_flip_property(self, img):
+        assert np.array_equal(rasterizer.apply_affine(img, 1.0, 0.0, False), img)
+        once = rasterizer.apply_affine(img, 1.0, 0.0, True)
+        assert np.array_equal(once, img[:, ::-1, :])
+        assert np.array_equal(rasterizer.apply_affine(once, 1.0, 0.0, True), img)
 
     def test_same_rng_state_same_output(self):
         img = checkerboard()
@@ -145,6 +161,13 @@ class TestPpm:
         for _ in range(25):
             img = rng.integers(0, 256, size=(64, 64, 3)).astype(np.uint8)
             assert np.array_equal(rasterizer.read_ppm(rasterizer.write_ppm(img)), img)
+
+    @settings(max_examples=40, deadline=None)
+    @given(images)
+    def test_roundtrip_property(self, img):
+        data = rasterizer.write_ppm(img)
+        assert data.startswith(f"P6\n{img.shape[1]} {img.shape[0]}\n255\n".encode())
+        assert np.array_equal(rasterizer.read_ppm(data), img)
 
     def test_truncated_payload(self):
         data = rasterizer.write_ppm(checkerboard())

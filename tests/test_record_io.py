@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ecgphase import record_io
 from ecgphase.errors import (
@@ -56,6 +59,41 @@ class TestParseHeader:
         h = record_io.parse_header(HEADER_100 + "# comment trailer\n")
         assert h.n_channels == 2
 
+    # record lines as WFDB header(5) allows them: base time, base date and a
+    # counter frequency after the sampling rate
+    @pytest.mark.parametrize("record_line", [
+        "100 2 360 650000 0:0:0 01/01/2000",
+        "100 2 360 650000 13:05:30",
+        "100 2 360/10 650000",
+        "100 2 360/10(0) 650000 0:0:0 01/01/2000",
+    ])
+    def test_record_line_optional_fields(self, record_line):
+        h = record_io.parse_header(record_line + HEADER_100[HEADER_100.index("\n"):])
+        assert (h.record_id, h.n_channels, h.sampling_rate, h.n_samples) == ("100", 2, 360.0, 650000)
+
+    # gain[(baseline)][/units]; without parentheses the baseline is adc_zero
+    @pytest.mark.parametrize("gain_field, gain, baseline", [
+        ("200", 200.0, 1024),
+        ("200/mV", 200.0, 1024),
+        ("200(0)/mV", 200.0, 0),
+        ("200(-12)", 200.0, -12),
+        ("200.5(7)/uV", 200.5, 7),
+    ])
+    def test_gain_field_forms(self, gain_field, gain, baseline):
+        h = record_io.parse_header(f"100 1 360 100\n100.dat 212 {gain_field} 11 1024 0 0 0 MLII\n")
+        assert (h.channels[0].gain, h.channels[0].baseline) == (gain, baseline)
+
+    @pytest.mark.parametrize("header", [
+        "100 1 360 100 0:0:0 01/01/2000 extra\n100.dat 212 200 11 1024 0 0 0 MLII\n",
+        "100 1 360 100\n100.dat 212 200(0 11 1024 0 0 0 MLII\n",
+        "100 1 360 100\n100.dat 212 (0)/mV 11 1024 0 0 0 MLII\n",
+        "100 1 360 100\n100.dat 212 200(x)/mV 11 1024 0 0 0 MLII\n",
+        "100 1 360 100\n100.dat 212 mV/200 11 1024 0 0 0 MLII\n",
+    ])
+    def test_malformed_optional_fields(self, header):
+        with pytest.raises(MalformedHeader):
+            record_io.parse_header(header)
+
 
 class TestFormat212:
     def test_all_zero_group(self):
@@ -95,6 +133,19 @@ class TestFormat212:
             mat = rng.integers(-2048, 2048, size=(n, c))
             back = record_io.decode_format212(record_io.encode_format212(mat), n, c)
             assert np.array_equal(back, mat)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda c: hnp.arrays(
+        np.int64, st.tuples(st.integers(1, 40), st.just(c)), elements=st.integers(-2048, 2047)
+    )))
+    def test_roundtrip_property(self, mat):
+        n, c = mat.shape
+        data = record_io.encode_format212(mat)
+        assert len(data) == 3 * ((n * c + 1) // 2)
+        assert np.array_equal(record_io.decode_format212(data, n, c), mat)
+        # an odd sample total decodes without its pad byte as well
+        needed = (n * c * 3 + 1) // 2
+        assert np.array_equal(record_io.decode_format212(data[:needed], n, c), mat)
 
     def test_odd_sample_count_without_pad_byte(self):
         # 3 samples need ceil(9/2) = 5 bytes; the 6th pad byte is optional
