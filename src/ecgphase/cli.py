@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import phase_space, pipeline, rasterizer, record_io
-from .errors import EcgPhaseError, MissingImage, NoRecords, TooShort
+from .errors import EcgPhaseError, MissingImage, NoRecords, NonFinite, TooShort
 from .neuralnet import ModelConfig, init_weights, load_checkpoint, save_checkpoint
 from .phase_space import DerivativeScheme
 from .pipeline import DatasetSplit, TrainConfig
@@ -304,7 +304,7 @@ def cmd_render(config: RunConfig) -> int:
             chord = phase_space.chord_for_signal(sig, traj, config.q_window_ms)
             viewport = rasterizer.fit_viewport(traj, config.viewport_margin)
             image = rasterizer.rasterize(traj, chord, viewport)
-        except TooShort as exc:
+        except (TooShort, NonFinite) as exc:
             skipped[rid] = str(exc)
             continue
         (img_dir / f"{rid}.ppm").write_bytes(rasterizer.write_ppm(image))

@@ -39,6 +39,10 @@ class MalformedRow(EcgPhaseError, ValueError):
     """CSV row cannot be parsed as numbers."""
 
 
+class NonFinite(EcgPhaseError, ValueError):
+    """Signal samples or trajectory coordinates hold NaN or infinity."""
+
+
 class NoRecords(EcgPhaseError, ValueError):
     """Ingest found nothing usable in the data directory."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTrajectory, IndexOutOfRange, TooShort
+from .errors import EmptyTrajectory, IndexOutOfRange, NonFinite, TooShort
 from .record_io import Signal
 
 
@@ -40,7 +40,7 @@ class Trajectory:
         if pts.shape[0] == 0:
             raise EmptyTrajectory(f"record {self.record_id!r} produced no points")
         if not np.all(np.isfinite(pts)):
-            raise ValueError(f"record {self.record_id!r} has non-finite coordinates")
+            raise NonFinite(f"record {self.record_id!r} has non-finite coordinates")
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:

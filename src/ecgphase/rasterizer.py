@@ -1,9 +1,10 @@
 """Rendering of phase-space trajectories into 64x64 RGB images.
 
 Trajectories are drawn as 1-pixel black polylines on a white background
-(three identical channels keep the 64x64x3 input shape), the Q-R chord is
-overlaid last, and a zoom/shear/flip affine augmentation produces training
-variety. PPM P6 is the canonical bit-exact interchange format.
+(three identical channels keep the 64x64x3 input shape) together with the
+Q-R chord, inside a viewport that holds every point, and a zoom/shear/flip
+affine augmentation produces training variety. PPM P6 is the canonical
+bit-exact interchange format.
 """
 
 from __future__ import annotations
@@ -75,102 +76,73 @@ def fit_viewport(trajectory: Trajectory, margin: float = 0.05) -> Viewport:
     return Viewport(lims[0][0], lims[0][1], lims[1][0], lims[1][1])
 
 
-def _to_pixel(v: float, dv: float, viewport: Viewport, size: int) -> tuple[int, int]:
-    fx = (v - viewport.v_min) / (viewport.v_max - viewport.v_min)
-    fy = (dv - viewport.dv_min) / (viewport.dv_max - viewport.dv_min)
-    x = int(round(fx * (size - 1)))
-    y = (size - 1) - int(round(fy * (size - 1)))  # larger dv drawn higher
-    return x, y
+def _to_pixels(points: np.ndarray, viewport: Viewport) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel columns and rows of (n, 2) data points.
 
-
-def _clip_segment(p0, p1, viewport: Viewport):
-    """Liang-Barsky clip of a data-space segment to the viewport box.
-
-    Returns the clipped endpoints, or None when the segment lies outside.
+    np.rint rounds half to even, as Python's round does. A point whose pixel
+    falls outside the image (NaN included) raises ValueError. int16 holds
+    every value the drawing derives from a pixel: flat indices below 4096 and
+    Bresenham errors within +/- 4 * IMAGE_SIZE.
     """
-    x0, y0 = p0
-    x1, y1 = p1
-    dx = x1 - x0
-    dy = y1 - y0
-    t0, t1 = 0.0, 1.0
-    for p, q in (
-        (-dx, x0 - viewport.v_min),
-        (dx, viewport.v_max - x0),
-        (-dy, y0 - viewport.dv_min),
-        (dy, viewport.dv_max - y0),
-    ):
-        if p == 0:
-            if q < 0:
-                return None  # parallel and outside
-            continue
-        t = q / p
-        if p < 0:
-            if t > t1:
-                return None
-            t0 = max(t0, t)
-        else:
-            if t < t0:
-                return None
-            t1 = min(t1, t)
-    if t0 > t1:
-        return None
-    return (x0 + t0 * dx, y0 + t0 * dy), (x0 + t1 * dx, y0 + t1 * dy)
+    fx = (points[:, 0] - viewport.v_min) / (viewport.v_max - viewport.v_min)
+    fy = (points[:, 1] - viewport.dv_min) / (viewport.dv_max - viewport.dv_min)
+    x = np.rint(fx * (IMAGE_SIZE - 1))
+    y = (IMAGE_SIZE - 1) - np.rint(fy * (IMAGE_SIZE - 1))  # larger dv drawn higher
+    inside = (x >= 0) & (x < IMAGE_SIZE) & (y >= 0) & (y < IMAGE_SIZE)
+    if not inside.all():
+        raise ValueError(f"{np.count_nonzero(~inside)} points fall outside {viewport}")
+    return x.astype(np.int16), y.astype(np.int16)
 
 
-def _draw_line(img: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> None:
-    """Bresenham line; plots both endpoints."""
-    dx = abs(x1 - x0)
-    sx = 1 if x0 < x1 else -1
-    dy = -abs(y1 - y0)
-    sy = 1 if y0 < y1 else -1
+def _draw_segments(x0, y0, x1, y1) -> np.ndarray:
+    """Bresenham (1965) on every segment at once; both end points are inked.
+
+    Returns the IMAGE_SIZE x IMAGE_SIZE mask of inked pixels. A pixel is
+    tracked by its flat index y * IMAGE_SIZE + x. Each pass inks the current
+    pixel of every segment, keeps only the segments that have not reached
+    their end and steps those.
+    """
+    dx = np.abs(x1 - x0)
+    dy = -np.abs(y1 - y0)
+    step_x = np.sign(x1 - x0)  # an axis with no extent is never stepped
+    step_y = np.sign(y1 - y0) * IMAGE_SIZE
+    pos = y0 * IMAGE_SIZE + x0
+    end = y1 * IMAGE_SIZE + x1
     err = dx + dy
-    while True:
-        img[y0, x0, :] = BLACK
-        if x0 == x1 and y0 == y1:
-            break
+    ink = np.zeros(IMAGE_SIZE * IMAGE_SIZE, dtype=bool)
+    while pos.size:
+        ink[pos] = True
+        live = pos != end
+        pos, end, dx, dy, step_x, step_y, err = (
+            a[live] for a in (pos, end, dx, dy, step_x, step_y, err)
+        )
         e2 = 2 * err
-        if e2 >= dy:
-            err += dy
-            x0 += sx
-        if e2 <= dx:
-            err += dx
-            y0 += sy
+        go_x = e2 >= dy
+        go_y = e2 <= dx
+        err += dy * go_x + dx * go_y
+        pos += step_x * go_x + step_y * go_y
+    return ink.reshape(IMAGE_SIZE, IMAGE_SIZE)
 
 
-def _draw_polyline(img: np.ndarray, points: np.ndarray, viewport: Viewport, size: int) -> None:
-    if points.shape[0] == 1:
-        clipped = _clip_segment(points[0], points[0], viewport)
-        if clipped is not None:
-            x, y = _to_pixel(*clipped[0], viewport, size)
-            img[y, x, :] = BLACK
-        return
-    for i in range(points.shape[0] - 1):
-        clipped = _clip_segment(points[i], points[i + 1], viewport)
-        if clipped is None:
-            continue
-        x0, y0 = _to_pixel(*clipped[0], viewport, size)
-        x1, y1 = _to_pixel(*clipped[1], viewport, size)
-        _draw_line(img, x0, y0, x1, y1)
-
-
-def rasterize(
-    trajectory: Trajectory,
-    chord: QRChord | None,
-    viewport: Viewport,
-    size: int = IMAGE_SIZE,
-) -> np.ndarray:
-    """Render the trajectory plus chord into a size x size x 3 uint8 image.
+def rasterize(trajectory: Trajectory, chord: QRChord | None, viewport: Viewport) -> np.ndarray:
+    """Render the trajectory plus chord into a 64 x 64 x 3 uint8 image.
 
     White background, black 1-pixel Bresenham segments between consecutive
-    points, chord drawn last; segments are clipped to the viewport.
+    points (a single point is one pixel) and the chord as one more segment.
+    Every point must map inside the viewport, as it does for
+    ``fit_viewport(trajectory, margin)``; a point outside raises ValueError.
     Deterministic for identical inputs.
     """
-    img = np.full((size, size, 3), WHITE, dtype=np.uint8)
-    _draw_polyline(img, trajectory.points, viewport, size)
+    pts = trajectory.points
+    start, end = (pts, pts) if len(pts) == 1 else (pts[:-1], pts[1:])
     if chord is not None:
-        q = np.asarray(chord.q_point, dtype=np.float64)
-        r = np.asarray(chord.r_point, dtype=np.float64)
-        _draw_polyline(img, np.vstack([q, r]), viewport, size)
+        start = np.vstack([start, chord.q_point])
+        end = np.vstack([end, chord.r_point])
+    x0, y0 = _to_pixels(start, viewport)
+    # the end point as p0 + (p1 - p0), which may differ from p1 in the last bit
+    x1, y1 = _to_pixels(start + (end - start), viewport)
+    img = np.full((IMAGE_SIZE, IMAGE_SIZE, 3), WHITE, dtype=np.uint8)
+    img[_draw_segments(x0, y0, x1, y1)] = BLACK
     return img
 
 

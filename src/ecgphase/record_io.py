@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -19,6 +20,7 @@ from .errors import (
     ChannelAbsent,
     MalformedHeader,
     MalformedRow,
+    NonFinite,
     NonUniformSampling,
     OutOfRange,
     TruncatedData,
@@ -61,8 +63,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.format_code not in SUPPORTED_FORMATS:
             raise UnsupportedFormat(f"signal format {self.format_code} not supported")
-        if self.gain <= 0:
-            raise MalformedHeader(f"gain must be positive, got {self.gain}")
+        if not 0 < self.gain < math.inf:
+            raise MalformedHeader(f"gain must be finite and positive, got {self.gain}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class RecordHeader:
     channels: tuple[ChannelSpec, ...]
 
     def __post_init__(self):
-        if self.n_channels < 1 or self.sampling_rate <= 0 or self.n_samples <= 0:
+        if self.n_channels < 1 or not 0 < self.sampling_rate < math.inf or self.n_samples <= 0:
             raise MalformedHeader(
                 f"bad header numbers for record {self.record_id!r}: "
                 f"{self.n_channels} channels, {self.sampling_rate} Hz, "
@@ -103,7 +105,7 @@ class Signal:
         if self.samples.size == 0:
             raise ValueError("signal has no samples")
         if not np.all(np.isfinite(self.samples)):
-            raise ValueError(f"record {self.record_id!r} contains non-finite samples")
+            raise NonFinite(f"record {self.record_id!r} contains non-finite samples")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -438,7 +440,7 @@ def load_csv(path, sampling_rate: float | None = None, channel: str = "csv") -> 
             raise MalformedRow(f"{path.name}: need at least 2 rows to infer the rate")
         steps = np.diff(np.asarray(times))
         h = steps[0]
-        if h <= 0 or np.any(np.abs(steps - h) > 1e-6 * abs(h)):
+        if not (np.all(np.isfinite(steps)) and h > 0) or np.any(np.abs(steps - h) > 1e-6 * h):
             raise NonUniformSampling(f"{path.name}: time steps are not uniform")
         rate = 1.0 / h
     else:

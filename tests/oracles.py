@@ -127,3 +127,49 @@ def max_gradient_error(model, x, y, eps=1e-4):
         rel = np.abs(a - numeric[name]) / np.maximum(1.0, np.abs(a))
         worst = max(worst, float(rel.max()))
     return worst
+
+
+def pixel_of(v, dv, viewport):
+    """One data point's pixel (column, row) in a 64x64 image; Python's
+    round() is half to even."""
+    fx = (v - viewport.v_min) / (viewport.v_max - viewport.v_min)
+    fy = (dv - viewport.dv_min) / (viewport.dv_max - viewport.dv_min)
+    return int(round(fx * 63)), 63 - int(round(fy * 63))
+
+
+def draw_line(img, x0, y0, x1, y1):
+    """Scalar Bresenham line; plots both end points."""
+    dx = abs(x1 - x0)
+    sx = 1 if x0 < x1 else -1
+    dy = -abs(y1 - y0)
+    sy = 1 if y0 < y1 else -1
+    err = dx + dy
+    while True:
+        img[y0, x0, :] = 0
+        if x0 == x1 and y0 == y1:
+            break
+        e2 = 2 * err
+        if e2 >= dy:
+            err += dy
+            x0 += sx
+        if e2 <= dx:
+            err += dx
+            y0 += sy
+
+
+def rasterize_loop(trajectory, chord, viewport):
+    """Trajectory and chord drawn one segment at a time on a white 64x64 image.
+
+    A single point is one zero-length segment, and each segment ends at
+    p0 + 1.0 * (p1 - p0), as the vectorized rasterizer computes it.
+    """
+    img = np.full((64, 64, 3), 255, dtype=np.uint8)
+    pts = [tuple(p) for p in trajectory.points]
+    segments = [(pts[0], pts[0])] if len(pts) == 1 else list(zip(pts[:-1], pts[1:]))
+    if chord is not None:
+        segments.append((chord.q_point, chord.r_point))
+    for (v0, dv0), (v1, dv1) in segments:
+        x0, y0 = pixel_of(v0, dv0, viewport)
+        x1, y1 = pixel_of(v0 + 1.0 * (v1 - v0), dv0 + 1.0 * (dv1 - dv0), viewport)
+        draw_line(img, x0, y0, x1, y1)
+    return img

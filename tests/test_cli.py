@@ -123,6 +123,19 @@ class TestRender:
         assert "999" in skipped
         assert not (out / "images" / "999.ppm").exists()
 
+    def test_overflowing_derivative_lands_in_skip_report(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
+        write_disk_records(data, {"100": "MLII", "101": "MLII"})
+        # samples up to 1000 / 1e-305 = 1e308 are finite; their derivative is not
+        hea = data / "100.hea"
+        hea.write_text(hea.read_text().replace("212 200 11 1024", "212 1e-305 11 0"))
+        assert run(["ingest", "--data-dir", str(data), "--output-dir", str(out)]) == 0
+        with pytest.warns(RuntimeWarning):
+            assert run(["render", "--output-dir", str(out)]) == 0
+        skipped = json.loads((out / "images" / "render_skipped.json").read_text())
+        assert list(skipped) == ["100"] and "non-finite" in skipped["100"]
+        assert sorted(p.stem for p in (out / "images").glob("*.ppm")) == ["101"]
+
     def test_rerender_removes_image_of_skipped_record(self, tmp_path):
         out = tmp_path / "out"
         config = cli.RunConfig(output_dir=str(out))

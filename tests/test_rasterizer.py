@@ -1,17 +1,39 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from oracles import pixel_of, rasterize_loop
 
-from ecgphase import phase_space, rasterizer, record_io
+from ecgphase import cli, phase_space, rasterizer, record_io
 from ecgphase.errors import MalformedPPM
 from ecgphase.phase_space import QRChord, Trajectory
 from ecgphase.rasterizer import AugmentParams, Viewport
 
+# sha256 of the 44 PPMs (name order) that synth + render write at seed 0,
+# and of the PPM of the 30-minute record in TestGoldenImages; both were
+# computed with the per-segment loop rasterizer (rasterize_loop's arithmetic
+# plus the Liang-Barsky clipper) that the vectorized one replaced
+GOLDEN_CORPUS_SHA256 = "2953eeda308dc5f153871dc072c815e9236c5a70dbb1c4cdac96f1ce78afd9c4"
+GOLDEN_LONG_SHA256 = "42b85ef93759cd55ec8dc8318c986a566ed50ae0b017c9bfd5477aa0ff6c732c"
+
 
 def traj_of(points):
     return Trajectory(record_id="t", points=np.asarray(points, dtype=float))
+
+
+# a trajectory on the integer or the 0.1 grid makes fx * 63 land on .5 ties
+# and makes p0 + (p1 - p0) round to another pixel than p1 does
+trajectory_points = st.one_of(
+    st.lists(st.tuples(c, c), min_size=1, max_size=40)
+    for c in (
+        st.floats(-1e3, 1e3, allow_nan=False),
+        st.integers(-6, 6).map(float),
+        st.integers(-30, 30).map(lambda k: k / 10),
+    )
+)
 
 
 class TestViewport:
@@ -70,24 +92,74 @@ class TestRasterize:
         vp = rasterizer.fit_viewport(traj, margin=0.0)
         img = rasterizer.rasterize(traj, None, vp)
         for v, dv in pts:
-            x, y = rasterizer._to_pixel(v, dv, vp, 64)
+            x, y = pixel_of(v, dv, vp)
             assert img[y, x, 0] == 0
 
-    def test_outside_segments_clipped(self):
+    def test_point_outside_viewport_rejected(self):
         vp = Viewport(0.0, 1.0, 0.0, 1.0)
-        # entirely outside: nothing drawn
-        img = rasterizer.rasterize(traj_of([[2, 2], [3, 3]]), None, vp)
-        assert np.all(img == 255)
-        # crossing segment is clipped, not dropped
-        img = rasterizer.rasterize(traj_of([[-1, 0.5], [2, 0.5]]), None, vp)
-        row = img[:, :, 0] == 0
-        assert row.sum() == 64  # a full horizontal line across the viewport
+        off = QRChord(q_point=(0.5, 0.5), r_point=(1.5, 0.5), q_index=0, r_index=1)
+        nan = QRChord(q_point=(0.5, float("nan")), r_point=(0.5, 0.5), q_index=0, r_index=1)
+        for traj, chord in [
+            (traj_of([[2, 2], [3, 3]]), None),      # entirely outside
+            (traj_of([[-1, 0.5], [2, 0.5]]), None),  # crossing the viewport
+            (traj_of([[0.5, 1.01]]), None),          # a single point
+            (traj_of([[0, 0], [1, 1]]), off),
+            (traj_of([[0, 0], [1, 1]]), nan),
+        ]:
+            with pytest.raises(ValueError, match="outside"):
+                rasterizer.rasterize(traj, chord, vp)
+
+    @settings(max_examples=300, deadline=None)
+    @example(  # a tie: fx * 63 == 10.5 rounds to 10
+        pts=[(1.8, -2.9), (0.9, -2.8), (0.4, 1.8)], constant_axis=None, chord=None, margin=0.0
+    )
+    @example(  # 0.3 + (0.9 - 0.3) lies one ulp past v_max and is drawn on the edge
+        pts=[(0.3, 0.0), (0.9, 1.0)], constant_axis=None, chord=None, margin=0.0
+    )
+    @example(  # p0 + (p1 - p0) and p1 round to different pixels
+        pts=[(0.3, -2.2), (1.9, 0.7), (-1.3, 2.8), (2.2, 0.2), (-1.2, -2.2)],
+        constant_axis=None, chord=None, margin=0.05,
+    )
+    @given(
+        pts=trajectory_points,
+        constant_axis=st.sampled_from([None, 0, 1]),
+        chord=st.none() | st.tuples(st.integers(0, 39), st.integers(0, 39)),
+        margin=st.sampled_from([0.0, 0.05]),
+    )
+    def test_matches_loop_oracle(self, pts, constant_axis, chord, margin):
+        points = np.array(pts)
+        if constant_axis is not None:
+            points[:, constant_axis] = points[0, constant_axis]
+        traj = traj_of(points)
+        n = len(traj)
+        qr = None if chord is None else phase_space.qr_chord(traj, chord[0] % n, chord[1] % n)
+        vp = rasterizer.fit_viewport(traj, margin)
+        assert np.array_equal(rasterizer.rasterize(traj, qr, vp), rasterize_loop(traj, qr, vp))
 
     def test_all_channels_equal(self):
         vp = Viewport(0.0, 1.0, 0.0, 1.0)
         img = rasterizer.rasterize(traj_of([[0, 0], [1, 1]]), None, vp)
         assert np.array_equal(img[:, :, 0], img[:, :, 1])
         assert np.array_equal(img[:, :, 0], img[:, :, 2])
+
+
+class TestGoldenImages:
+    def test_synth_corpus(self, tmp_path):
+        for command in ("synth", "render"):
+            assert cli.main([command, "--output-dir", str(tmp_path), "--seed", "0"]) == 0
+        ppms = sorted((tmp_path / "images").glob("*.ppm"))
+        assert len(ppms) == 44
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in ppms)).hexdigest()
+        assert digest == GOLDEN_CORPUS_SHA256
+
+    def test_thirty_minute_record(self):
+        # an integer ADU random walk, so no libm output (np.exp) feeds the digest
+        adu = np.cumsum(np.random.default_rng(0).integers(-3, 4, size=648_000))
+        sig = record_io.Signal("long", "MLII", 360.0, record_io.to_millivolts(adu, 200.0, 0))
+        traj = phase_space.embed(sig)
+        chord = phase_space.chord_for_signal(sig, traj)
+        img = rasterizer.rasterize(traj, chord, rasterizer.fit_viewport(traj, 0.05))
+        assert hashlib.sha256(rasterizer.write_ppm(img)).hexdigest() == GOLDEN_LONG_SHA256
 
 
 images = hnp.arrays(

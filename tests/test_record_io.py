@@ -89,6 +89,11 @@ class TestParseHeader:
         "100 1 360 100\n100.dat 212 (0)/mV 11 1024 0 0 0 MLII\n",
         "100 1 360 100\n100.dat 212 200(x)/mV 11 1024 0 0 0 MLII\n",
         "100 1 360 100\n100.dat 212 mV/200 11 1024 0 0 0 MLII\n",
+        # a gain or rate that is not finite and positive
+        "100 1 360 100\n100.dat 212 nan 11 1024 0 0 0 MLII\n",
+        "100 1 360 100\n100.dat 212 inf/mV 11 1024 0 0 0 MLII\n",
+        "100 1 nan 100\n100.dat 212 200 11 1024 0 0 0 MLII\n",
+        "100 1 inf 100\n100.dat 212 200 11 1024 0 0 0 MLII\n",
     ])
     def test_malformed_optional_fields(self, header):
         with pytest.raises(MalformedHeader):
@@ -261,6 +266,17 @@ class TestLoadCsv:
     def test_non_uniform(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("0,0.0\n0.001,0.1\n0.003,0.2\n")
+        with pytest.raises(NonUniformSampling):
+            record_io.load_csv(p)
+
+    @pytest.mark.parametrize("text", [
+        "0,0.0\nnan,0.1\n0.002,0.2\n",
+        "0,0.0\ninf,0.1\n0.002,0.2\n",
+        "nan,0.0\nnan,0.1\n",
+    ])
+    def test_non_finite_time_step(self, tmp_path, text):
+        p = tmp_path / "r.csv"
+        p.write_text(text)
         with pytest.raises(NonUniformSampling):
             record_io.load_csv(p)
 
