@@ -124,7 +124,6 @@ class RunConfig:
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
             augment=self.augment_params(),
-            seed=self.seed,
         )
 
     def signals_dir(self) -> Path:
@@ -251,28 +250,22 @@ def cmd_ingest(config: RunConfig) -> int:
         signals = _synth_corpus(config)
     else:
         data_dir = Path(config.data_dir)
-        headers = sorted(data_dir.glob("*.hea"))
-        csvs = sorted(data_dir.glob("*.csv"))
-        if not headers and not csvs:
+        # CSVs come last, so a CSV replaces a header record of the same name
+        paths = sorted(data_dir.glob("*.hea")) + sorted(data_dir.glob("*.csv"))
+        if not paths:
             raise NoRecords(f"no .hea or .csv records under {data_dir}")
-        for hea in headers:
-            rid = hea.stem
-            if rid in EXCLUDED_RECORDS:
-                skipped[rid] = "excluded record (no MLII or paced beats)"
-                continue
-            try:
-                signals[rid] = record_io.load_record(hea, channel=config.channel)
-            except EcgPhaseError as exc:
-                skipped[rid] = str(exc)
-        for path in csvs:
+        for path in paths:
             rid = path.stem
             if rid in EXCLUDED_RECORDS:
                 skipped[rid] = "excluded record (no MLII or paced beats)"
                 continue
             try:
-                signals[rid] = record_io.load_csv(
-                    path, sampling_rate=config.csv_sampling_rate
-                )
+                if path.suffix == ".hea":
+                    signals[rid] = record_io.load_record(path, channel=config.channel)
+                else:
+                    signals[rid] = record_io.load_csv(
+                        path, sampling_rate=config.csv_sampling_rate
+                    )
             except EcgPhaseError as exc:
                 skipped[rid] = str(exc)
 
@@ -386,7 +379,7 @@ def cmd_eval(config: RunConfig, records: list[str] | None = None) -> int:
         "seed": config.seed,
         "config": config.as_dict(),
         "records": [rid for rid, _ in pairs],
-        "eval": pipeline.eval_report_dict(report),
+        "eval": dataclasses.asdict(report),
     }
     _write_json(Path(config.output_dir) / "eval_report.json", payload)
     print(f"accuracy {report.accuracy:.4f} over {len(labeled)} records")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -87,7 +87,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     batch_size: int = 8
     augment: AugmentParams = AugmentParams()
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0 or self.learning_rate <= 0 or self.batch_size < 1:
@@ -104,53 +103,19 @@ class EpochMetrics:
 
 
 @dataclass(frozen=True)
-class RecordPrediction:
-    record_id: str
-    label: Label
-    probability: float
-    predicted: Label
-
-    @property
-    def correct(self) -> bool:
-        return self.predicted == self.label
-
-
-@dataclass(frozen=True)
 class EvalReport:
-    """Per-record outcomes plus confusion counts for one labeled set."""
+    """Per-record outcomes plus confusion counts for one labeled set, in the
+    shape they take in JSON.
 
-    rows: tuple[RecordPrediction, ...]
-    true_unhealthy: int
-    true_healthy: int
-    false_unhealthy: int
-    false_healthy: int
+    Each row is {"record_id", "label", "probability", "predicted"} with label
+    names; `confusion` holds the four counts.
+    """
+
+    rows: tuple[dict, ...]
+    confusion: dict
     accuracy: float
     healthy_accuracy: float | None
     unhealthy_accuracy: float | None
-
-
-def eval_report_dict(rep: "EvalReport") -> dict:
-    """JSON-ready form of an EvalReport."""
-    return {
-        "rows": [
-            {
-                "record_id": r.record_id,
-                "label": r.label.name,
-                "probability": r.probability,
-                "predicted": r.predicted.name,
-            }
-            for r in rep.rows
-        ],
-        "confusion": {
-            "true_unhealthy": rep.true_unhealthy,
-            "true_healthy": rep.true_healthy,
-            "false_unhealthy": rep.false_unhealthy,
-            "false_healthy": rep.false_healthy,
-        },
-        "accuracy": rep.accuracy,
-        "healthy_accuracy": rep.healthy_accuracy,
-        "unhealthy_accuracy": rep.unhealthy_accuracy,
-    }
 
 
 @dataclass(frozen=True)
@@ -163,17 +128,8 @@ class RunReport:
     test: EvalReport
     summary: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config": self.config,
-            "train": eval_report_dict(self.train),
-            "test": eval_report_dict(self.test),
-            "summary": self.summary,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def build_dataset(
@@ -221,20 +177,18 @@ def train(
     model: Model,
     train_set: list[LabeledImage],
     config: TrainConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     test_set: list[LabeledImage] | None = None,
 ) -> tuple[Model, list[EpochMetrics]]:
     """Fixed-epoch gradient-descent training loop.
 
     Per epoch: shuffle, augment each training image, batch, forward/backward,
     update. Train metrics come from the augmented training batches (before
-    each update); test metrics from the clean test images. Deterministic for
-    a fixed seed/rng.
+    each update); test metrics from the clean test images. `rng` draws every
+    shuffle and augmentation, so the result is fixed by its state.
     """
     if not train_set:
         raise EmptyTrainSet("training set is empty")
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
     train_labels = np.array([float(ex.label) for ex in train_set])
     test_inputs = None
@@ -295,31 +249,33 @@ def evaluate(model: Model, labeled_set: list[LabeledImage]) -> EvalReport:
     inputs = np.stack([_to_input(ex.image) for ex in ordered])
     probs = _predict_probs(model, inputs)
 
-    rows = []
-    for ex, p in zip(ordered, probs):
-        predicted = Label.UNHEALTHY if p >= DECISION_THRESHOLD else Label.HEALTHY
-        rows.append(
-            RecordPrediction(
-                record_id=ex.record_id,
-                label=ex.label,
-                probability=float(p),
-                predicted=predicted,
-            )
-        )
+    predicted_unhealthy = probs >= DECISION_THRESHOLD
+    is_unhealthy = np.array([ex.label == Label.UNHEALTHY for ex in ordered])
+    rows = tuple(
+        {
+            "record_id": ex.record_id,
+            "label": ex.label.name,
+            "probability": float(p),
+            "predicted": Label(int(u)).name,
+        }
+        for ex, p, u in zip(ordered, probs, predicted_unhealthy)
+    )
 
-    tu = sum(1 for r in rows if r.label == Label.UNHEALTHY and r.correct)
-    th = sum(1 for r in rows if r.label == Label.HEALTHY and r.correct)
-    fu = sum(1 for r in rows if r.label == Label.HEALTHY and not r.correct)
-    fh = sum(1 for r in rows if r.label == Label.UNHEALTHY and not r.correct)
+    tu = int(np.sum(predicted_unhealthy & is_unhealthy))
+    th = int(np.sum(~predicted_unhealthy & ~is_unhealthy))
+    fu = int(np.sum(predicted_unhealthy & ~is_unhealthy))
+    fh = int(np.sum(~predicted_unhealthy & is_unhealthy))
     n_healthy = th + fu
     n_unhealthy = tu + fh
 
     return EvalReport(
-        rows=tuple(rows),
-        true_unhealthy=tu,
-        true_healthy=th,
-        false_unhealthy=fu,
-        false_healthy=fh,
+        rows=rows,
+        confusion={
+            "true_unhealthy": tu,
+            "true_healthy": th,
+            "false_unhealthy": fu,
+            "false_healthy": fh,
+        },
         accuracy=(tu + th) / len(rows),
         healthy_accuracy=(th / n_healthy) if n_healthy else None,
         unhealthy_accuracy=(tu / n_unhealthy) if n_unhealthy else None,

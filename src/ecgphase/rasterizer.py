@@ -55,7 +55,8 @@ def fit_viewport(trajectory: Trajectory, margin: float = 0.05) -> Viewport:
     """Tight bounding box of the trajectory, expanded by margin per side.
 
     A zero-extent axis (constant signal or constant derivative) is widened
-    to +/- 0.5 units so the viewport stays valid.
+    to +/- 0.5 units so the viewport stays valid, or by one unit in the last
+    place where that is larger (|v| >= 2**52), since 0.5 would round away.
     """
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
@@ -68,7 +69,8 @@ def fit_viewport(trajectory: Trajectory, margin: float = 0.05) -> Viewport:
         lo = float(pts[:, axis].min())
         hi = float(pts[:, axis].max())
         if hi == lo:
-            lo, hi = lo - 0.5, hi + 0.5
+            half = max(0.5, abs(float(np.spacing(lo))))
+            lo, hi = lo - half, hi + half
         else:
             pad = margin * (hi - lo)
             lo, hi = lo - pad, hi + pad

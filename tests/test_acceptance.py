@@ -145,7 +145,7 @@ def test_05_overfit_smoke():
     # to one 500-epoch run; stop as soon as the target accuracy appears
     metrics = []
     for _ in range(10):
-        cfg = TrainConfig(epochs=50, learning_rate=0.01, batch_size=8, augment=NO_AUG, seed=0)
+        cfg = TrainConfig(epochs=50, learning_rate=0.01, batch_size=8, augment=NO_AUG)
         model, chunk = pipeline.train(model, examples, cfg, rng=rng)
         metrics.extend(chunk)
         if any(m.train_accuracy == 1.0 for m in chunk):
@@ -229,7 +229,7 @@ def _table2_protocol(signals_per_seed, n_seeds=5):
         init_ss, train_ss = master.spawn(2)
         model = init_weights(ModelConfig(), seed=init_ss)
         config = TrainConfig(epochs=175, learning_rate=0.01, batch_size=8,
-                             augment=AugmentParams(), seed=seed)
+                             augment=AugmentParams())
         model, _ = pipeline.train(
             model, train_set, config,
             rng=np.random.default_rng(train_ss), test_set=test_set,

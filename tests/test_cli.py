@@ -82,6 +82,31 @@ class TestIngest:
         assert run(["render", "--output-dir", str(out)]) == 0
         assert [p.stem for p in (out / "images").glob("*.ppm")] == ["103"]
 
+    def test_csv_records(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
+        write_disk_records(data, {"100": "MLII", "101": "MLII"})
+        timed = np.round(np.sin(np.arange(50) / 5.0), 3)
+        rows = [f"{i * 0.004:.3f},{v}" for i, v in enumerate(timed)]
+        (data / "103.csv").write_text("\n".join(["time_s,voltage_mV", *rows]) + "\n")
+        plain = np.linspace(-1.0, 1.0, 40)
+        (data / "105.csv").write_text("".join(f"{v}\n" for v in plain))
+        (data / "102.csv").write_text("0.1\n0.2\n0.3\n")
+        # the same record id as a header record; the CSV replaces it
+        (data / "100.csv").write_text("".join(f"{v}\n" for v in -plain))
+        args = ["--data-dir", str(data), "--output-dir", str(out), "--csv-sampling-rate", "360"]
+        assert run(["ingest", *args]) == 0
+
+        sig_dir = out / "signals"
+        assert sorted(p.stem for p in sig_dir.glob("*.npy")) == ["100", "101", "103", "105"]
+        skipped = json.loads((sig_dir / "skipped.json").read_text())
+        assert list(skipped) == ["102"] and "excluded" in skipped["102"]
+        assert np.array_equal(np.load(sig_dir / "103.npy"), timed)
+        assert json.loads((sig_dir / "103.json").read_text())["sampling_rate"] == pytest.approx(250.0)
+        assert np.array_equal(np.load(sig_dir / "105.npy"), plain)
+        assert json.loads((sig_dir / "105.json").read_text())["sampling_rate"] == 360.0
+        assert np.array_equal(np.load(sig_dir / "100.npy"), -plain)
+        assert json.loads((sig_dir / "100.json").read_text())["channel"] == "csv"
+
     def test_empty_directory_is_data_error(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -135,6 +160,19 @@ class TestRender:
         skipped = json.loads((out / "images" / "render_skipped.json").read_text())
         assert list(skipped) == ["100"] and "non-finite" in skipped["100"]
         assert sorted(p.stem for p in (out / "images").glob("*.ppm")) == ["101"]
+
+    def test_constant_record_at_huge_magnitude(self, tmp_path):
+        # 1000 ADU / gain 1e-13 is 1e16 mV, where +/- 0.5 mV is below one ulp
+        images = []
+        for gain in ("1e-13", "200"):
+            data, out = tmp_path / gain / "data", tmp_path / gain / "out"
+            data.mkdir(parents=True)
+            (data / "100.hea").write_text(f"100 1 360 40\n100.dat 212 {gain} 11 0 1000 0 0 MLII\n")
+            (data / "100.dat").write_bytes(record_io.encode_format212(np.full((40, 1), 1000)))
+            assert run(["ingest", "--data-dir", str(data), "--output-dir", str(out)]) == 0
+            assert run(["render", "--output-dir", str(out)]) == 0
+            images.append((out / "images" / "100.ppm").read_bytes())
+        assert images[0] == images[1]
 
     def test_rerender_removes_image_of_skipped_record(self, tmp_path):
         out = tmp_path / "out"

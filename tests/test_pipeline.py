@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,10 @@ from ecgphase.record_io import Label, load_labels
 TINY = nn.ModelConfig(input_size=8, conv_filters=(2, 2), hidden_units=4)
 NO_AUG = AugmentParams(zoom_range=0.0, shear_range=0.0, horizontal_flip=False)
 
+# sha256 of build_report(7, {"epochs": 3}, ...).to_json() for the zero model on
+# a mixed and a healthy-only set; any change to the report's JSON shape changes it
+GOLDEN_REPORT_SHA256 = "fdfc1cf3c374978573d0373c8b588620e6f773428d85917db18d52f22e6f0902"
+
 
 def tiny_images(n, seed=0, size=8):
     rng = np.random.default_rng(seed)
@@ -34,6 +40,17 @@ def tiny_set(labels, seed=0):
         LabeledImage(record_id=f"r{i:03d}", image=img, label=Label(lab))
         for i, (img, lab) in enumerate(zip(imgs, labels))
     ]
+
+
+def zero_model():
+    """Every weight zero, so every probability is exactly sigmoid(0) = 0.5."""
+    return nn.Model(
+        config=TINY,
+        conv1=nn.ConvLayer(np.zeros((3, 3, 3, 2)), np.zeros(2)),
+        conv2=nn.ConvLayer(np.zeros((3, 3, 2, 2)), np.zeros(2)),
+        dense1=nn.DenseLayer(np.zeros((TINY.flat_dim, 4)), np.zeros(4)),
+        dense_out=nn.DenseLayer(np.zeros((4, 1)), np.zeros(1)),
+    )
 
 
 class TestSplit:
@@ -107,24 +124,33 @@ class TestTrain:
     def test_zero_epochs_is_identity(self):
         model = nn.init_weights(TINY, seed=0)
         train_set = tiny_set([0, 1])
-        out, metrics = pipeline.train(model, train_set, TrainConfig(epochs=0, seed=0))
+        out, metrics = pipeline.train(
+            model, train_set, TrainConfig(epochs=0),
+            rng=np.random.default_rng(np.random.SeedSequence(0)),
+        )
         assert metrics == []
         assert np.array_equal(out.conv1.kernels, model.conv1.kernels)
 
     def test_empty_train_set(self):
         model = nn.init_weights(TINY, seed=0)
         with pytest.raises(EmptyTrainSet):
-            pipeline.train(model, [], TrainConfig(epochs=1))
+            pipeline.train(
+                model, [], TrainConfig(epochs=1),
+                rng=np.random.default_rng(np.random.SeedSequence(0)),
+            )
 
     def test_deterministic_for_fixed_seed(self):
         train_set = tiny_set([0, 1, 1, 0], seed=3)
         test_set = tiny_set([1, 0], seed=4)
-        cfg = TrainConfig(epochs=4, seed=11, batch_size=2)
+        cfg = TrainConfig(epochs=4, batch_size=2)
 
         runs = []
         for _ in range(2):
             model = nn.init_weights(TINY, seed=11)
-            out, metrics = pipeline.train(model, train_set, cfg, test_set=test_set)
+            out, metrics = pipeline.train(
+                model, train_set, cfg,
+                rng=np.random.default_rng(np.random.SeedSequence(11)), test_set=test_set,
+            )
             runs.append((out, metrics))
         (m1, met1), (m2, met2) = runs
         assert met1 == met2
@@ -134,34 +160,28 @@ class TestTrain:
     def test_overfits_small_separable_set(self):
         # distinct random images with consistent labels are separable
         train_set = tiny_set([0, 0, 1, 1], seed=6)
-        cfg = TrainConfig(epochs=400, learning_rate=0.01, batch_size=4,
-                          augment=NO_AUG, seed=1)
+        cfg = TrainConfig(epochs=400, learning_rate=0.01, batch_size=4, augment=NO_AUG)
         model = nn.init_weights(TINY, seed=1)
-        _, metrics = pipeline.train(model, train_set, cfg)
+        _, metrics = pipeline.train(
+            model, train_set, cfg, rng=np.random.default_rng(np.random.SeedSequence(1))
+        )
         assert any(m.train_accuracy == 1.0 for m in metrics)
 
     def test_metric_rows_one_per_epoch(self):
         model = nn.init_weights(TINY, seed=0)
         _, metrics = pipeline.train(
-            model, tiny_set([0, 1]), TrainConfig(epochs=7, seed=0)
+            model, tiny_set([0, 1]), TrainConfig(epochs=7),
+            rng=np.random.default_rng(np.random.SeedSequence(0)),
         )
         assert [m.epoch for m in metrics] == list(range(7))
 
 
 class TestEvaluate:
     def test_zero_model_threshold_boundary(self):
-        cfg = TINY
-        zero = nn.Model(
-            config=cfg,
-            conv1=nn.ConvLayer(np.zeros((3, 3, 3, 2)), np.zeros(2)),
-            conv2=nn.ConvLayer(np.zeros((3, 3, 2, 2)), np.zeros(2)),
-            dense1=nn.DenseLayer(np.zeros((cfg.flat_dim, 4)), np.zeros(4)),
-            dense_out=nn.DenseLayer(np.zeros((4, 1)), np.zeros(1)),
-        )
         labeled = tiny_set([0, 0, 1, 1], seed=9)
-        report = pipeline.evaluate(zero, labeled)
-        assert all(r.probability == 0.5 for r in report.rows)
-        assert all(r.predicted == Label.UNHEALTHY for r in report.rows)
+        report = pipeline.evaluate(zero_model(), labeled)
+        assert all(row["probability"] == 0.5 for row in report.rows)
+        assert all(row["predicted"] == "UNHEALTHY" for row in report.rows)
         assert report.healthy_accuracy == 0.0
         assert report.unhealthy_accuracy == 1.0
         assert report.accuracy == 0.5
@@ -170,11 +190,11 @@ class TestEvaluate:
         model = nn.init_weights(TINY, seed=2)
         labeled = tiny_set([0, 1, 1, 0, 1], seed=10)
         report = pipeline.evaluate(model, labeled)
-        recomputed = sum(r.correct for r in report.rows) / len(report.rows)
+        recomputed = sum(row["label"] == row["predicted"] for row in report.rows) / len(report.rows)
         assert report.accuracy == pytest.approx(recomputed)
         confusion_total = (
-            report.true_unhealthy + report.true_healthy
-            + report.false_unhealthy + report.false_healthy
+            report.confusion["true_unhealthy"] + report.confusion["true_healthy"]
+            + report.confusion["false_unhealthy"] + report.confusion["false_healthy"]
         )
         assert confusion_total == len(labeled)
 
@@ -182,7 +202,7 @@ class TestEvaluate:
         model = nn.init_weights(TINY, seed=2)
         labeled = list(reversed(tiny_set([0, 1, 1], seed=12)))
         report = pipeline.evaluate(model, labeled)
-        ids = [r.record_id for r in report.rows]
+        ids = [row["record_id"] for row in report.rows]
         assert ids == sorted(ids)
 
     def test_empty_set(self):
@@ -245,3 +265,12 @@ class TestRunReport:
         b = pipeline.build_report(1, {"x": 1}, rep, rep).to_json()
         assert a == b
         assert '"summary"' in a
+
+    def test_golden_bytes(self):
+        zero = zero_model()
+        mixed = pipeline.evaluate(zero, tiny_set([0, 0, 1, 1], seed=9))
+        healthy_only = pipeline.evaluate(zero, tiny_set([0, 0], seed=13))
+        assert healthy_only.unhealthy_accuracy is None
+        assert all(row["predicted"] == "UNHEALTHY" for row in mixed.rows)
+        text = pipeline.build_report(7, {"epochs": 3}, mixed, healthy_only).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_SHA256
