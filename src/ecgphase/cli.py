@@ -25,7 +25,7 @@ from .neuralnet import ModelConfig, init_weights, load_checkpoint, save_checkpoi
 from .phase_space import DerivativeScheme
 from .pipeline import DatasetSplit, TrainConfig
 from .rasterizer import AugmentParams
-from .record_io import EXCLUDED_RECORDS, Label, Signal, load_labels
+from .record_io import EXCLUDED_RECORDS, PUBLISHED_SPLIT, Label, Signal, load_labels
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,7 +61,9 @@ class RunConfig:
     synth_duration_s: float = 20.0
     synth_sampling_rate: float = 360.0
     csv_sampling_rate: float | None = None
-    split: dict | None = None  # quadrant lists; None means the published split
+    split: dict = field(
+        default_factory=lambda: {k: list(ids) for k, ids in PUBLISHED_SPLIT.items()}
+    )
 
     def __post_init__(self):
         for name, kinds in _FIELD_TYPES.items():
@@ -81,32 +83,12 @@ class RunConfig:
         rates = (self.synth_duration_s, self.synth_sampling_rate, self.csv_sampling_rate)
         if any(r is not None and r <= 0 for r in rates):
             raise ValueError("synth_duration_s and the sampling rates must be positive")
-        if self.split is not None and (
-            set(self.split) != set(pipeline.PUBLISHED_SPLIT)
-            or not all(
-                isinstance(ids, (list, tuple)) and all(isinstance(rid, str) for rid in ids)
-                for ids in self.split.values()
-            )
-        ):
-            raise ValueError(
-                f"split must map exactly {sorted(pipeline.PUBLISHED_SPLIT)} to lists of record ids"
-            )
         self.dataset_split()
         self.train_config()
         self.scheme()
 
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["split"] = self.split_quadrants()
-        return d
-
-    def split_quadrants(self) -> dict:
-        if self.split is not None:
-            return self.split
-        return {k: list(ids) for k, ids in pipeline.PUBLISHED_SPLIT.items()}
-
     def dataset_split(self) -> DatasetSplit:
-        return pipeline.split_from_quadrants(self.split_quadrants())
+        return pipeline.split_from_quadrants(self.split)
 
     def scheme(self) -> DerivativeScheme:
         return DerivativeScheme(self.derivative_scheme)
@@ -165,7 +147,7 @@ def _write_json(path: Path, payload: dict) -> None:
 def _write_resolved_config(config: RunConfig, command: str) -> None:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "run_config.json", {"command": command, **config.as_dict()})
+    _write_json(out / "run_config.json", {"command": command, **dataclasses.asdict(config)})
 
 
 def _remove_files(directory: Path, *patterns: str) -> None:
@@ -250,12 +232,15 @@ def cmd_ingest(config: RunConfig) -> int:
         signals = _synth_corpus(config)
     else:
         data_dir = Path(config.data_dir)
-        # CSVs come last, so a CSV replaces a header record of the same name
+        # the last file of a record id decides whether it is ingested or
+        # skipped, and CSVs come last, so a CSV replaces a header record
         paths = sorted(data_dir.glob("*.hea")) + sorted(data_dir.glob("*.csv"))
         if not paths:
             raise NoRecords(f"no .hea or .csv records under {data_dir}")
         for path in paths:
             rid = path.stem
+            signals.pop(rid, None)
+            skipped.pop(rid, None)
             if rid in EXCLUDED_RECORDS:
                 skipped[rid] = "excluded record (no MLII or paced beats)"
                 continue
@@ -266,7 +251,7 @@ def cmd_ingest(config: RunConfig) -> int:
                     signals[rid] = record_io.load_csv(
                         path, sampling_rate=config.csv_sampling_rate
                     )
-            except EcgPhaseError as exc:
+            except (EcgPhaseError, OSError) as exc:
                 skipped[rid] = str(exc)
 
     if not signals:
@@ -338,11 +323,11 @@ def cmd_train(config: RunConfig) -> int:
 
     out = Path(config.output_dir)
     pipeline.emit_curves(metrics, out / "curves.csv")
-    save_checkpoint(model, config.checkpoint_path(), extra=config.as_dict())
+    save_checkpoint(model, config.checkpoint_path(), extra=dataclasses.asdict(config))
 
     report = pipeline.build_report(
         seed=config.seed,
-        config=config.as_dict(),
+        config=dataclasses.asdict(config),
         train_report=pipeline.evaluate(model, train_set),
         test_report=pipeline.evaluate(model, test_set),
     )
@@ -370,14 +355,11 @@ def cmd_eval(config: RunConfig, records: list[str] | None = None) -> int:
         pairs = list(split.test)
 
     images = _load_images(config, [rid for rid, _ in pairs])
-    labeled = [
-        pipeline.LabeledImage(record_id=rid, image=images[rid], label=label)
-        for rid, label in pairs
-    ]
+    _, labeled = pipeline.build_dataset(images, labels, DatasetSplit(train=(), test=tuple(pairs)))
     report = pipeline.evaluate(model, labeled)
     payload = {
         "seed": config.seed,
-        "config": config.as_dict(),
+        "config": dataclasses.asdict(config),
         "records": [rid for rid, _ in pairs],
         "eval": dataclasses.asdict(report),
     }
@@ -461,10 +443,7 @@ def main(argv=None) -> int:
         if args.command == "run-all":
             return cmd_run_all(config)
         raise AssertionError(f"unhandled command {args.command}")
-    except EcgPhaseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (EcgPhaseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -23,19 +23,7 @@ from .errors import (
 )
 from .neuralnet import Model, backward_batch, bce_loss, forward_batch, sgd_step
 from .rasterizer import AugmentParams, augment
-from .record_io import Label
-
-# Published record grouping: 8 + 25 train, 3 + 8 test.
-PUBLISHED_SPLIT = {
-    "train_healthy": ("101", "113", "115", "117", "121", "122", "123", "230"),
-    "train_unhealthy": (
-        "106", "108", "109", "114", "116", "118", "119", "124", "201", "203",
-        "205", "207", "208", "209", "214", "215", "219", "220", "221", "222",
-        "223", "228", "231", "232", "233",
-    ),
-    "test_healthy": ("103", "112", "234"),
-    "test_unhealthy": ("100", "105", "111", "200", "202", "210", "212", "213"),
-}
+from .record_io import PUBLISHED_SPLIT, Label
 
 DECISION_THRESHOLD = 0.5  # p >= threshold predicts unhealthy
 
@@ -60,13 +48,25 @@ class DatasetSplit:
 
 
 def split_from_quadrants(q: dict) -> DatasetSplit:
-    """The split of a table keyed like PUBLISHED_SPLIT."""
-    return DatasetSplit(
+    """The split of a table keyed like PUBLISHED_SPLIT.
+
+    Raises ValueError unless `q` maps exactly those four keys to lists of
+    record ids and both train and test hold at least one record.
+    """
+    if set(q) != set(PUBLISHED_SPLIT) or not all(
+        isinstance(ids, (list, tuple)) and all(isinstance(rid, str) for rid in ids)
+        for ids in q.values()
+    ):
+        raise ValueError(f"split must map exactly {sorted(PUBLISHED_SPLIT)} to lists of record ids")
+    split = DatasetSplit(
         train=tuple((rid, Label.HEALTHY) for rid in q["train_healthy"])
         + tuple((rid, Label.UNHEALTHY) for rid in q["train_unhealthy"]),
         test=tuple((rid, Label.HEALTHY) for rid in q["test_healthy"])
         + tuple((rid, Label.UNHEALTHY) for rid in q["test_unhealthy"]),
     )
+    if not (split.train and split.test):
+        raise ValueError("split needs at least one train and one test record")
+    return split
 
 
 def default_split() -> DatasetSplit:

@@ -10,6 +10,7 @@ bit-exact interchange format.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ from .phase_space import QRChord, Trajectory
 IMAGE_SIZE = 64
 WHITE = 255
 BLACK = 0
+
+# magic, width, height, maxval, then the one whitespace byte before the payload
+_PPM_HEADER = re.compile(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s")
 
 
 @dataclass(frozen=True)
@@ -213,28 +217,15 @@ def read_ppm(data: bytes) -> np.ndarray:
     """Parse binary PPM bytes; inverse of :func:`write_ppm` bit-exactly."""
     if not data.startswith(b"P6"):
         raise MalformedPPM("bad magic, expected P6")
-    # header = magic + width + height + maxval, whitespace separated
-    fields = []
-    pos = 2
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise MalformedPPM("truncated header")
-        fields.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    try:
-        w, h, maxval = (int(f) for f in fields)
-    except ValueError as exc:
-        raise MalformedPPM(f"non-numeric header fields {fields}") from exc
+    header = _PPM_HEADER.match(data)
+    if header is None:
+        raise MalformedPPM(f"truncated or non-numeric header {data[:32]!r}")
+    w, h, maxval = (int(f) for f in header.groups())
     if w <= 0 or h <= 0:
         raise MalformedPPM(f"bad dimensions {w}x{h}")
     if maxval != 255:
         raise MalformedPPM(f"unsupported maxval {maxval}")
-    payload = data[pos : pos + w * h * 3]
+    payload = data[header.end() : header.end() + w * h * 3]
     if len(payload) != w * h * 3:
         raise MalformedPPM(
             f"payload holds {len(payload)} bytes, expected {w * h * 3}"

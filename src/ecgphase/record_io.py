@@ -32,17 +32,19 @@ SUPPORTED_FORMATS = frozenset({212})
 # header(5) ADC gain field: gain[(baseline)][/units]
 _GAIN_FIELD = re.compile(r"([^(/]+)(?:\((.*)\))?(?:/.*)?")
 
-# Fixed grouping of the 44 usable records. 102/104 lack the MLII channel and
-# 107/217 are paced, so all four are excluded from the table.
-HEALTHY_RECORDS = (
-    "101", "103", "112", "113", "115", "117", "121", "122", "123", "230", "234",
-)
-UNHEALTHY_RECORDS = (
-    "100", "105", "106", "108", "109", "111", "114", "116", "118", "119",
-    "124", "200", "201", "202", "203", "205", "207", "208", "209", "210",
-    "212", "213", "214", "215", "219", "220", "221", "222", "223", "228",
-    "231", "232", "233",
-)
+# The 44 usable records by label and by side of the published split:
+# 8 + 25 train, 3 + 8 test. 102/104 lack the MLII channel and 107/217 are
+# paced, so all four are excluded from the table.
+PUBLISHED_SPLIT = {
+    "train_healthy": ("101", "113", "115", "117", "121", "122", "123", "230"),
+    "train_unhealthy": (
+        "106", "108", "109", "114", "116", "118", "119", "124", "201", "203",
+        "205", "207", "208", "209", "214", "215", "219", "220", "221", "222",
+        "223", "228", "231", "232", "233",
+    ),
+    "test_healthy": ("103", "112", "234"),
+    "test_unhealthy": ("100", "105", "111", "200", "202", "210", "212", "213"),
+}
 EXCLUDED_RECORDS = ("102", "104", "107", "217")
 
 
@@ -273,10 +275,13 @@ def load_record(header_path, channel: str = "MLII") -> Signal:
 
 
 def load_labels() -> dict[str, Label]:
-    """The fixed 44-record healthy/unhealthy table (11 + 33 entries)."""
-    table = {rid: Label.HEALTHY for rid in HEALTHY_RECORDS}
-    table.update({rid: Label.UNHEALTHY for rid in UNHEALTHY_RECORDS})
-    return table
+    """The fixed 44-record healthy/unhealthy table (11 + 33 entries): a
+    record in a `*_unhealthy` quadrant of PUBLISHED_SPLIT is unhealthy."""
+    return {
+        rid: Label.UNHEALTHY if quadrant.endswith("_unhealthy") else Label.HEALTHY
+        for quadrant, ids in PUBLISHED_SPLIT.items()
+        for rid in ids
+    }
 
 
 # Beat template: five Gaussian bumps as (center, width, amplitude_mV), all

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -8,6 +9,10 @@ import pytest
 from ecgphase import cli, record_io
 from ecgphase.errors import MissingImage
 from ecgphase.rasterizer import read_ppm
+
+# sha256 of out/run_config.json as `render --output-dir out` writes it: every
+# default, the published split included
+GOLDEN_RUN_CONFIG_SHA256 = "3b7b3b04a9ce011e0b5cb4bdb127a6e868dccad8c8e7e17313bee276cf8992df"
 
 
 def run(args):
@@ -106,6 +111,35 @@ class TestIngest:
         assert json.loads((sig_dir / "105.json").read_text())["sampling_rate"] == 360.0
         assert np.array_equal(np.load(sig_dir / "100.npy"), -plain)
         assert json.loads((sig_dir / "100.json").read_text())["channel"] == "csv"
+
+    def test_missing_dat_skips_only_that_record(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
+        write_disk_records(data, {"100": "MLII", "101": "MLII"})
+        (data / "100.dat").unlink()
+        assert run(["ingest", "--data-dir", str(data), "--output-dir", str(out)]) == 0
+        assert [p.stem for p in (out / "signals").glob("*.npy")] == ["101"]
+        skipped = json.loads((out / "signals" / "skipped.json").read_text())
+        assert list(skipped) == ["100"] and "100.dat" in skipped["100"]
+
+    @pytest.mark.parametrize("bad", ["hea", "csv"])
+    def test_csv_decides_a_record_with_both_files(self, tmp_path, bad):
+        data, out = tmp_path / "data", tmp_path / "out"
+        write_disk_records(data, {"100": "MLII", "101": "MLII"})
+        if bad == "hea":
+            hea = data / "100.hea"
+            hea.write_text(hea.read_text().replace("212 200 11", "212 nan 11"))
+            (data / "100.csv").write_text("".join(f"{v}\n" for v in np.linspace(-1.0, 1.0, 40)))
+        else:
+            (data / "100.csv").write_text("0.1,0.2,0.3\n")
+        args = ["--data-dir", str(data), "--output-dir", str(out), "--csv-sampling-rate", "360"]
+        assert run(["ingest", *args]) == 0
+        ingested = sorted(p.stem for p in (out / "signals").glob("*.npy"))
+        skipped = json.loads((out / "signals" / "skipped.json").read_text())
+        if bad == "hea":
+            assert ingested == ["100", "101"] and skipped == {}
+        else:
+            assert ingested == ["101"]
+            assert list(skipped) == ["100"] and "100.csv" in skipped["100"]
 
     def test_empty_directory_is_data_error(self, tmp_path):
         empty = tmp_path / "none"
@@ -323,6 +357,11 @@ class TestUsage:
         ("train", '{"split": {"train_healthy": ["101"], "test_healthy": ["103"]}}'),
         ("train", '{"split": {"train_healthy": ["101"], "train_unhealthy": ["106"], '
                   '"test_healthy": "103", "test_unhealthy": ["100"]}}'),
+        ("train", '{"split": {"train_healthy": ["101"], "train_unhealthy": ["106"], '
+                  '"test_healthy": [], "test_unhealthy": []}}'),
+        ("train", '{"split": {"train_healthy": [], "train_unhealthy": [], '
+                  '"test_healthy": ["103"], "test_unhealthy": ["100"]}}'),
+        ("train", '{"split": null}'),
     ])
     def test_bad_config_file_is_usage_error(self, tmp_path, command, text):
         bad = tmp_path / "bad.json"
@@ -330,6 +369,7 @@ class TestUsage:
         out = tmp_path / "o"
         code = run([command, "--config", str(bad), "--output-dir", str(out)])
         assert code == cli.EXIT_USAGE
+        assert not out.exists()  # no run_config.json or any other file
 
     def test_every_field_but_split_is_a_flag(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
@@ -346,6 +386,12 @@ class TestUsage:
         assert resolved["horizontal_flip"] is False
         assert resolved["channel"] == "V1"
         assert resolved["synth_duration_s"] == 3.0
+
+    def test_default_run_config_golden(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["render", "--output-dir", "out"]) == cli.EXIT_DATA  # no signals
+        digest = hashlib.sha256((tmp_path / "out" / "run_config.json").read_bytes()).hexdigest()
+        assert digest == GOLDEN_RUN_CONFIG_SHA256
 
     def test_flag_overrides_config_file(self, tmp_path):
         cfg, out = fast_config(tmp_path, "o", seed=3)

@@ -227,6 +227,8 @@ class TestPpm:
         payload = data[len(b"P6\n64 64\n255\n"):]
         assert len(payload) == 12288
         assert payload == b"\xff" * 12288
+        # any mix of whitespace may separate the header fields
+        assert np.array_equal(rasterizer.read_ppm(b"P6 \t64\r\n64\t \n255\n" + payload), img)
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(13)
