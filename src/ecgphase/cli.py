@@ -83,6 +83,9 @@ class RunConfig:
         rates = (self.synth_duration_s, self.synth_sampling_rate, self.csv_sampling_rate)
         if any(r is not None and r <= 0 for r in rates):
             raise ValueError("synth_duration_s and the sampling rates must be positive")
+        n_synth = self.synth_duration_s * self.synth_sampling_rate
+        if not math.isfinite(n_synth) or round(n_synth) < 1:
+            raise ValueError(f"synth records need a finite, nonzero sample count, got {n_synth}")
         self.dataset_split()
         self.train_config()
         self.scheme()
@@ -342,17 +345,15 @@ def cmd_train(config: RunConfig) -> int:
 def cmd_eval(config: RunConfig, records: list[str] | None = None) -> int:
     """Evaluate a checkpoint on the test split (or a record subset)."""
     model, _ = load_checkpoint(config.checkpoint_path())
-    split = config.dataset_split()
     labels = load_labels()
 
     if records:
-        pairs = []
-        for rid in records:
-            if rid not in labels:
-                raise EcgPhaseError(f"record {rid!r} is not in the label table")
-            pairs.append((rid, labels[rid]))
+        unknown = [rid for rid in records if rid not in labels]
+        if unknown:
+            raise EcgPhaseError(f"records not in the label table: {unknown}")
+        pairs = [(rid, labels[rid]) for rid in records]
     else:
-        pairs = list(split.test)
+        pairs = list(config.dataset_split().test)
 
     images = _load_images(config, [rid for rid, _ in pairs])
     _, labeled = pipeline.build_dataset(images, labels, DatasetSplit(train=(), test=tuple(pairs)))
@@ -418,6 +419,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        records = args.records.split(",") if getattr(args, "records", None) else None
+        if records and len(set(records)) != len(records):
+            parser.error(f"--records lists a record more than once: {args.records}")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -438,7 +442,6 @@ def main(argv=None) -> int:
         if args.command == "train":
             return cmd_train(config)
         if args.command == "eval":
-            records = args.records.split(",") if args.records else None
             return cmd_eval(config, records)
         if args.command == "run-all":
             return cmd_run_all(config)

@@ -130,13 +130,11 @@ class ForwardCache:
     """Intermediates the backward pass needs, in forward order."""
 
     cols1: np.ndarray
-    z1: np.ndarray
     pool1_arg: np.ndarray
+    p1: np.ndarray
     cols2: np.ndarray
-    z2: np.ndarray
     pool2_arg: np.ndarray
     flat: np.ndarray
-    zd: np.ndarray
     ad: np.ndarray
     prob: np.ndarray
 
@@ -230,8 +228,9 @@ def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, arg
 
 
-def _pool_backward(dout: np.ndarray, arg: np.ndarray, in_shape: tuple) -> np.ndarray:
-    dx = np.empty(in_shape)
+def _pool_backward(dout: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    n, h, w, c = arg.shape
+    dx = np.empty((n, 2 * h, 2 * w, c))
     for q, (row, col) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         np.multiply(dout, arg == q, out=dx[:, row::2, col::2, :])
     return dx
@@ -305,21 +304,18 @@ def forward_batch(model: Model, images: np.ndarray) -> tuple[np.ndarray, Forward
         raise ShapeMismatch(f"expected (n, {expected[0]}, {expected[1]}, {expected[2]}), got {x.shape}")
 
     z1, cols1 = _conv_forward(x, model.conv1)
-    a1 = relu(z1)
-    p1, arg1 = _pool_forward(a1)
+    p1, arg1 = _pool_forward(relu(z1))
     z2, cols2 = _conv_forward(p1, model.conv2)
-    a2 = relu(z2)
-    p2, arg2 = _pool_forward(a2)
+    p2, arg2 = _pool_forward(relu(z2))
     flat = p2.reshape(x.shape[0], -1)
-    zd = dense_forward(flat, model.dense1)
-    ad = relu(zd)
+    ad = relu(dense_forward(flat, model.dense1))
     logit = dense_forward(ad, model.dense_out)
     prob = sigmoid(logit[:, 0])
 
     cache = ForwardCache(
-        cols1=cols1, z1=z1, pool1_arg=arg1,
-        cols2=cols2, z2=z2, pool2_arg=arg2,
-        flat=flat, zd=zd, ad=ad, prob=prob,
+        cols1=cols1, pool1_arg=arg1, p1=p1,
+        cols2=cols2, pool2_arg=arg2,
+        flat=flat, ad=ad, prob=prob,
     )
     return prob, cache
 
@@ -339,22 +335,22 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Mod
     dW_out = cache.ad.T @ dlogit
     db_out = dlogit.sum(axis=0)
     dad = dlogit @ model.dense_out.weights.T
-    dzd = dad * (cache.zd > 0)
+    # ReLU masks come from cached outputs, the conv ones applied before the
+    # pool scatter. Exact: a pooled value is > 0 iff the pre-ReLU value at
+    # its argmax is, a 0/1 multiply commutes with the scatter bit for bit
+    # (signed zeros too), and a NaN makes all its example's gradients NaN.
+    dzd = dad * (cache.ad > 0)
 
     dW1 = cache.flat.T @ dzd
     db1 = dzd.sum(axis=0)
     dflat = dzd @ model.dense1.weights.T
-    dp2 = dflat.reshape(cache.pool2_arg.shape)
+    dp2 = (dflat * (cache.flat > 0)).reshape(cache.pool2_arg.shape)
 
-    # ReLU masks go in place on the fresh pool-backward outputs; conv1's
-    # input gradient is never needed, so it is never computed
-    dz2 = _pool_backward(dp2, cache.pool2_arg, cache.z2.shape)
-    np.multiply(dz2, cache.z2 > 0, out=dz2)
+    dz2 = _pool_backward(dp2, cache.pool2_arg)
     dk2, dbc2 = _conv_param_grads(cache.cols2, model.conv2, dz2)
-    dp1 = _conv_input_grad(model.conv2, dz2, cache.pool1_arg.shape)
+    dp1 = _conv_input_grad(model.conv2, dz2, cache.p1.shape)
 
-    dz1 = _pool_backward(dp1, cache.pool1_arg, cache.z1.shape)
-    np.multiply(dz1, cache.z1 > 0, out=dz1)
+    dz1 = _pool_backward(dp1 * (cache.p1 > 0), cache.pool1_arg)
     dk1, dbc1 = _conv_param_grads(cache.cols1, model.conv1, dz1)
 
     return Model(

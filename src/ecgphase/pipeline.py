@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ from .rasterizer import AugmentParams, augment
 from .record_io import PUBLISHED_SPLIT, Label
 
 DECISION_THRESHOLD = 0.5  # p >= threshold predicts unhealthy
+PREDICT_CHUNK = 16  # images per inference forward; GEMM bits can depend on the row count
 
 
 @dataclass(frozen=True)
@@ -36,11 +38,9 @@ class DatasetSplit:
     test: tuple[tuple[str, Label], ...]
 
     def __post_init__(self):
-        train_ids = {rid for rid, _ in self.train}
-        test_ids = {rid for rid, _ in self.test}
-        overlap = train_ids & test_ids
-        if overlap:
-            raise ValueError(f"records in both train and test: {sorted(overlap)}")
+        repeated = sorted(rid for rid, k in Counter(self.all_records).items() if k > 1)
+        if repeated:
+            raise ValueError(f"records listed more than once: {repeated}")
 
     @property
     def all_records(self) -> tuple[str, ...]:
@@ -160,12 +160,11 @@ def build_dataset(
     return lookup(split.train), lookup(split.test)
 
 
-def _predict_probs(model: Model, images: np.ndarray, chunk: int = 16) -> np.ndarray:
+def _predict_probs(model: Model, images: np.ndarray) -> np.ndarray:
     """Forward pass without retained caches, chunked to bound memory."""
     probs = []
-    for start in range(0, images.shape[0], chunk):
-        p, _ = forward_batch(model, images[start : start + chunk])
-        probs.append(p)
+    for start in range(0, images.shape[0], PREDICT_CHUNK):
+        probs.append(forward_batch(model, images[start : start + PREDICT_CHUNK])[0])
     return np.concatenate(probs)
 
 

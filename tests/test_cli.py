@@ -262,6 +262,12 @@ class TestTrainEval:
         assert [r["record_id"] for r in payload["eval"]["rows"]] == ["103", "112", "234"]
         assert all(r["label"] == "HEALTHY" for r in payload["eval"]["rows"])
 
+    def test_eval_repeated_record_is_usage_error(self, trained):
+        cfg, out = trained
+        (out / "eval_report.json").unlink(missing_ok=True)
+        assert run(["eval", "--config", str(cfg), "--records", "103,103"]) == cli.EXIT_USAGE
+        assert not (out / "eval_report.json").exists()
+
     def test_eval_unknown_record(self, trained):
         cfg, _ = trained
         assert run(["eval", "--config", str(cfg), "--records", "102"]) == cli.EXIT_DATA
@@ -362,6 +368,10 @@ class TestUsage:
         ("train", '{"split": {"train_healthy": [], "train_unhealthy": [], '
                   '"test_healthy": ["103"], "test_unhealthy": ["100"]}}'),
         ("train", '{"split": null}'),
+        ("train", '{"split": {"train_healthy": ["101", "101"], "train_unhealthy": ["106"], '
+                  '"test_healthy": ["103"], "test_unhealthy": ["100"]}}'),
+        ("synth", '{"synth_duration_s": 0.001}'),
+        ("synth", '{"synth_duration_s": 1e200, "synth_sampling_rate": 1e200}'),
     ])
     def test_bad_config_file_is_usage_error(self, tmp_path, command, text):
         bad = tmp_path / "bad.json"

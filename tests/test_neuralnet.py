@@ -6,6 +6,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ecgphase import neuralnet as nn
 from ecgphase.errors import (
@@ -147,7 +150,7 @@ class TestMaxPool:
         _, arg = nn._pool_forward(x)
         assert arg.dtype == np.int8
         dout = rng.normal(size=(2, 3, 4, 3))
-        dx = nn._pool_backward(dout, arg, x.shape)
+        dx = nn._pool_backward(dout, arg)
         expected = np.zeros_like(x)
         for i in range(x.shape[0]):
             _, slow_arg = maxpool_naive(x[i])
@@ -155,6 +158,24 @@ class TestMaxPool:
                 row, col = divmod(int(slow_arg[y, xx, ch]), 2)
                 expected[i, 2 * y + row, 2 * xx + col, ch] = dout[i, y, xx, ch]
         assert np.array_equal(dx, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_relu_mask_before_scatter_is_bit_exact(self, data):
+        # backward masks the pooled gradient with p > 0, not the scattered
+        # one with z > 0; ties, signed zeros and infinities must not tell
+        n, h, w, c = data.draw(st.tuples(*(st.integers(1, 3),) * 4))
+        z = data.draw(hnp.arrays(np.float64, (n, 2 * h, 2 * w, c), elements=st.sampled_from(
+            [-np.inf, -2.0, -0.5, -0.0, 0.0, 0.5, 2.0, np.inf]
+        )))
+        dp = data.draw(hnp.arrays(np.float64, (n, h, w, c), elements=(
+            st.sampled_from([-np.inf, -0.0, 0.0, np.inf]) | st.floats(-3, 3)
+        )))
+        p, arg = nn._pool_forward(nn.relu(z))
+        with np.errstate(invalid="ignore"):  # inf times a zero mask
+            before = nn._pool_backward(dp * (p > 0), arg)
+            after = nn._pool_backward(dp, arg) * (z > 0)
+        assert before.tobytes() == after.tobytes()
 
     def test_odd_dimension(self):
         with pytest.raises(OddDimension):
@@ -238,12 +259,12 @@ class TestForward:
         x = np.random.default_rng(1).uniform(0, 1, (64, 64, 3))
         p, cache = nn.forward_batch(model, x[None])
         assert 0.0 < p[0] < 1.0
-        assert cache.z1.shape == (1, 64, 64, 32)
-        assert cache.pool1_arg.shape == (1, 32, 32, 32)
-        assert cache.z2.shape == (1, 32, 32, 64)
+        assert nn.conv2d_forward(x[None], model.conv1).shape == (1, 64, 64, 32)
+        assert cache.pool1_arg.shape == cache.p1.shape == (1, 32, 32, 32)
+        assert nn.conv2d_forward(cache.p1, model.conv2).shape == (1, 32, 32, 64)
         assert cache.pool2_arg.shape == (1, 16, 16, 64)
         assert cache.flat.shape == (1, 16384)
-        assert cache.zd.shape == (1, 128)
+        assert cache.ad.shape == (1, 128)
 
     def test_deterministic(self):
         model = nn.init_weights(TINY, seed=3)
