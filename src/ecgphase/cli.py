@@ -230,6 +230,8 @@ def cmd_ingest(config: RunConfig) -> int:
     """Build the per-record signal cache from disk records, CSVs, or synth."""
     skipped: dict[str, str] = {}
     signals: dict[str, Signal] = {}
+    sig_dir = config.signals_dir()
+    _remove_files(sig_dir, "*.npy", "*.json")
 
     if config.synth:
         signals = _synth_corpus(config)
@@ -257,23 +259,21 @@ def cmd_ingest(config: RunConfig) -> int:
             except (EcgPhaseError, OSError) as exc:
                 skipped[rid] = str(exc)
 
-    if not signals:
-        raise NoRecords("every record failed to ingest")
-
-    _remove_files(config.signals_dir(), "*.npy", "*.json")
     for rid in sorted(signals):
         _save_signal(config, signals[rid])
-    _write_json(config.signals_dir() / "skipped.json", skipped)
+    _write_json(sig_dir / "skipped.json", skipped)
+    if not signals:
+        raise NoRecords(f"every record failed to ingest; reasons in {sig_dir / 'skipped.json'}")
     print(f"ingested {len(signals)} records, skipped {len(skipped)}")
     return EXIT_OK
 
 
 def cmd_render(config: RunConfig) -> int:
     """Embed every cached signal and rasterize it to <record_id>.ppm."""
-    signals = _load_cached_signals(config)
     img_dir = config.images_dir()
+    _remove_files(img_dir, "*.ppm", "render_skipped.json")
+    signals = _load_cached_signals(config)
     img_dir.mkdir(parents=True, exist_ok=True)
-    _remove_files(img_dir, "*.ppm")
     scheme = config.scheme()
     skipped: dict[str, str] = {}
     rendered = 0
@@ -292,6 +292,8 @@ def cmd_render(config: RunConfig) -> int:
         rendered += 1
 
     _write_json(img_dir / "render_skipped.json", skipped)
+    if not rendered:
+        raise NoRecords(f"every record failed to render; reasons in {img_dir / 'render_skipped.json'}")
     print(f"rendered {rendered} images, skipped {len(skipped)}")
     return EXIT_OK
 

@@ -44,7 +44,7 @@ class NonFinite(EcgPhaseError, ValueError):
 
 
 class NoRecords(EcgPhaseError, ValueError):
-    """Ingest found nothing usable in the data directory."""
+    """Ingest or render produced no record."""
 
 
 # --- phase space ---
@@ -101,7 +101,3 @@ class EmptyTrainSet(EcgPhaseError, ValueError):
 
 class EmptySet(EcgPhaseError, ValueError):
     """Evaluation requires at least one example."""
-
-
-class IoFailure(EcgPhaseError, OSError):
-    """Could not write an output file."""

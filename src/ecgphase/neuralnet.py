@@ -5,9 +5,9 @@ maxpool -> flatten -> dense -> ReLU -> dense(1) -> sigmoid, trained with
 binary cross-entropy and the plain gradient-descent update
 w <- w - alpha * dL/dw.
 
-Convolutions run as im2col matrix products; every op also accepts a single
-(h, w, c) image or a batched (n, h, w, c) stack. All math is float64 so the
-finite-difference gradient checks are meaningful.
+`forward_batch` chains the public layer ops, each on a batched (n, h, w, c)
+stack; convolutions run as im2col matrix products. All math is float64 so
+the finite-difference gradient checks are meaningful.
 """
 
 from __future__ import annotations
@@ -85,9 +85,6 @@ class Model:
     dense1: DenseLayer
     dense_out: DenseLayer
 
-    def parameter_count(self) -> int:
-        return sum(t.size for t in parameters(self).values())
-
 
 # layer field name -> layer class, in declaration order, which is the
 # checkpoint's tensor order
@@ -127,37 +124,32 @@ def _parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class ForwardCache:
-    """Intermediates the backward pass needs, in forward order."""
+    """Intermediates the backward pass needs, in forward order. Each conv's
+    patch matrix is rebuilt from its input, `x` or `p1`, not kept."""
 
-    cols1: np.ndarray
+    x: np.ndarray
     pool1_arg: np.ndarray
     p1: np.ndarray
-    cols2: np.ndarray
     pool2_arg: np.ndarray
     flat: np.ndarray
     ad: np.ndarray
     prob: np.ndarray
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ShapeMismatch(f"expected (h, w, c) or (n, h, w, c), got shape {x.shape}")
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Patch matrix of a batch, zero-padded to keep its size: (n, h, w, k*k*c),
+    dy/dx/c order.
 
-
-def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
-    """Patch matrix of a zero-padded batch: (n, h, w, k*k*c), dy/dx/c order.
-
-    In a C-contiguous batch, patch row dy of output pixel (y, x) is the k*c
-    consecutive values of padded row y+dy starting at column x, so one
-    strided view holds every patch and a single copy lays them out.
+    In the C-contiguous padded batch, patch row dy of output pixel (y, x) is
+    the k*c consecutive values of padded row y+dy starting at column x, so
+    one strided view holds every patch and a single copy lays them out.
+    (np.pad would keep a Fortran-ordered input's layout, so the padded batch
+    is built here.)
     """
-    padded = np.ascontiguousarray(padded)
-    n, hp, wp, c = padded.shape
-    h, w = hp - k + 1, wp - k + 1
+    n, h, w, c = x.shape
+    p = (k - 1) // 2
+    padded = np.zeros((n, h + 2 * p, w + 2 * p, c))
+    padded[:, p : p + h, p : p + w, :] = x
     sn, sy, sx, sc = padded.strides
     patches = np.lib.stride_tricks.as_strided(
         padded, shape=(n, h, w, k, k * c), strides=(sn, sy, sx, sy, sc), writeable=False
@@ -165,51 +157,54 @@ def _im2col(padded: np.ndarray, k: int) -> np.ndarray:
     return patches.reshape(n, h, w, k * k * c)
 
 
-def _col2im(dcols: np.ndarray, in_shape: tuple, k: int) -> np.ndarray:
-    """Adjoint of _im2col: scatter patch gradients back onto the input."""
-    n, h, w, c = in_shape
-    p = (k - 1) // 2
-    dpadded = np.zeros((n, h + 2 * p, w + 2 * p, c))
-    dcols = dcols.reshape(n, h, w, k * k, c)
-    i = 0
-    for dy in range(k):
-        for dx in range(k):
-            dpadded[:, dy : dy + h, dx : dx + w, :] += dcols[:, :, :, i, :]
-            i += 1
-    return dpadded[:, p : p + h, p : p + w, :]
-
-
-def _conv_forward(x: np.ndarray, layer: ConvLayer) -> tuple[np.ndarray, np.ndarray]:
-    n, h, w, c_in = x.shape
-    k, _, kc_in, c_out = layer.kernels.shape
-    if kc_in != c_in:
-        raise ShapeMismatch(
-            f"input has {c_in} channels but kernels expect {kc_in}"
-        )
-    p = (k - 1) // 2
-    padded = np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
-    cols = _im2col(padded, k)
-    out = cols @ layer.kernels.reshape(-1, c_out)
-    out += layer.bias
-    return out, cols
-
-
 def _conv_param_grads(
-    cols: np.ndarray, layer: ConvLayer, dout: np.ndarray
+    x: np.ndarray, layer: ConvLayer, dout: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     k, _, c_in, c_out = layer.kernels.shape
     dout2 = dout.reshape(-1, c_out)
-    dkernels = (cols.reshape(-1, k * k * c_in).T @ dout2).reshape(layer.kernels.shape)
+    cols = _im2col(x, k).reshape(-1, k * k * c_in)
+    dkernels = (cols.T @ dout2).reshape(layer.kernels.shape)
     return dkernels, dout2.sum(axis=0)
 
 
 def _conv_input_grad(layer: ConvLayer, dout: np.ndarray, in_shape: tuple) -> np.ndarray:
+    """Adjoint of the conv in its input: scatter the patch gradients back."""
     k, _, _, c_out = layer.kernels.shape
-    dcols = dout @ layer.kernels.reshape(-1, c_out).T
-    return _col2im(dcols, in_shape, k)
+    n, h, w, c = in_shape
+    p = (k - 1) // 2
+    dcols = (dout @ layer.kernels.reshape(-1, c_out).T).reshape(n, h, w, k * k, c)
+    dpadded = np.zeros((n, h + 2 * p, w + 2 * p, c))
+    for i, (dy, dx) in enumerate(np.ndindex(k, k)):
+        dpadded[:, dy : dy + h, dx : dx + w, :] += dcols[:, :, :, i, :]
+    return dpadded[:, p : p + h, p : p + w, :]
 
 
-def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pool_backward(dout: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    n, h, w, c = arg.shape
+    dx = np.empty((n, 2 * h, 2 * w, c))
+    for q, (row, col) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        np.multiply(dout, arg == q, out=dx[:, row::2, col::2, :])
+    return dx
+
+
+# --- layer ops, each on a (n, h, w, c) batch ---
+
+def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
+    """Same-padded stride-1 convolution; preserves the spatial size."""
+    k, _, c_in, c_out = layer.kernels.shape
+    if x.ndim != 4 or x.shape[3] != c_in:
+        raise ShapeMismatch(f"expected (n, h, w, {c_in}) input, got shape {x.shape}")
+    out = _im2col(x, k) @ layer.kernels.reshape(-1, c_out)
+    out += layer.bias
+    return out
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+
+
+def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """2x2 stride-2 max pool; returns (pooled, window argmax indices)."""
     n, h, w, c = x.shape
     if h % 2 or w % 2:
         raise OddDimension(f"max pool needs even spatial dims, got {h}x{w}")
@@ -228,42 +223,11 @@ def _pool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, arg
 
 
-def _pool_backward(dout: np.ndarray, arg: np.ndarray) -> np.ndarray:
-    n, h, w, c = arg.shape
-    dx = np.empty((n, 2 * h, 2 * w, c))
-    for q, (row, col) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        np.multiply(dout, arg == q, out=dx[:, row::2, col::2, :])
-    return dx
-
-
-# --- public single-op surface ---
-
-def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Same-padded stride-1 convolution; preserves the spatial size."""
-    batch, squeeze = _as_batch(x)
-    out, _ = _conv_forward(batch, layer)
-    return out[0] if squeeze else out
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 stride-2 max pool; returns (pooled, window argmax indices)."""
-    batch, squeeze = _as_batch(x)
-    out, arg = _pool_forward(batch)
-    return (out[0], arg[0]) if squeeze else (out, arg)
-
-
 def flatten(x: np.ndarray) -> np.ndarray:
-    """Row-major linearization of (h, w, c) -> (h*w*c); batches keep axis 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        return x.reshape(-1)
-    if x.ndim == 4:
-        return x.reshape(x.shape[0], -1)
-    raise ShapeMismatch(f"expected 3-D or 4-D input, got shape {x.shape}")
+    """Row-major linearization of each (h, w, c) example: (n, h*w*c)."""
+    if x.ndim != 4:
+        raise ShapeMismatch(f"expected (n, h, w, c) input, got shape {x.shape}")
+    return x.reshape(x.shape[0], -1)
 
 
 def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
@@ -274,16 +238,15 @@ def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
     return x @ layer.weights + layer.bias
 
 
-def sigmoid(x):
+def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic, clamped into the open interval (0, 1)."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    out = np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI)
 
 
 def bce_loss(p, y) -> float:
@@ -303,21 +266,15 @@ def forward_batch(model: Model, images: np.ndarray) -> tuple[np.ndarray, Forward
     if x.ndim != 4 or x.shape[1:] != expected:
         raise ShapeMismatch(f"expected (n, {expected[0]}, {expected[1]}, {expected[2]}), got {x.shape}")
 
-    z1, cols1 = _conv_forward(x, model.conv1)
-    p1, arg1 = _pool_forward(relu(z1))
-    z2, cols2 = _conv_forward(p1, model.conv2)
-    p2, arg2 = _pool_forward(relu(z2))
-    flat = p2.reshape(x.shape[0], -1)
+    p1, arg1 = maxpool_forward(relu(conv2d_forward(x, model.conv1)))
+    p2, arg2 = maxpool_forward(relu(conv2d_forward(p1, model.conv2)))
+    flat = flatten(p2)
     ad = relu(dense_forward(flat, model.dense1))
-    logit = dense_forward(ad, model.dense_out)
-    prob = sigmoid(logit[:, 0])
+    prob = sigmoid(dense_forward(ad, model.dense_out)[:, 0])
 
-    cache = ForwardCache(
-        cols1=cols1, pool1_arg=arg1, p1=p1,
-        cols2=cols2, pool2_arg=arg2,
-        flat=flat, ad=ad, prob=prob,
+    return prob, ForwardCache(
+        x=x, pool1_arg=arg1, p1=p1, pool2_arg=arg2, flat=flat, ad=ad, prob=prob
     )
-    return prob, cache
 
 
 def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Model:
@@ -347,11 +304,11 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Mod
     dp2 = (dflat * (cache.flat > 0)).reshape(cache.pool2_arg.shape)
 
     dz2 = _pool_backward(dp2, cache.pool2_arg)
-    dk2, dbc2 = _conv_param_grads(cache.cols2, model.conv2, dz2)
+    dk2, dbc2 = _conv_param_grads(cache.p1, model.conv2, dz2)
     dp1 = _conv_input_grad(model.conv2, dz2, cache.p1.shape)
 
     dz1 = _pool_backward(dp1 * (cache.p1 > 0), cache.pool1_arg)
-    dk1, dbc1 = _conv_param_grads(cache.cols1, model.conv1, dz1)
+    dk1, dbc1 = _conv_param_grads(cache.x, model.conv1, dz1)
 
     return Model(
         model.config,
@@ -384,8 +341,7 @@ def sgd_step(model: Model, grads: Model, alpha: float) -> Model:
 
 def init_weights(config: ModelConfig, seed=0) -> Model:
     """Glorot-uniform kernels/weights, zero biases, deterministic per seed."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(ss)
+    rng = np.random.default_rng(seed)
 
     def glorot(shape):
         receptive = math.prod(shape[:-2])  # k*k for a kernel, 1 for dense weights

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     EmptySet,
     EmptyTrainSet,
-    IoFailure,
     LabelMismatch,
     MissingImage,
 )
@@ -304,14 +303,11 @@ def build_report(
 
 def emit_curves(metrics: list[EpochMetrics], path) -> None:
     """Write per-epoch metrics as CSV with 6-decimal fixed precision."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("epoch,train_loss,train_acc,test_loss,test_acc\n")
-            for m in metrics:
-                fh.write(
-                    f"{m.epoch},{m.train_loss:.6f},{m.train_accuracy:.6f},"
-                    f"{m.test_loss:.6f},{m.test_accuracy:.6f}\n"
-                )
-    except OSError as exc:
-        raise IoFailure(f"cannot write metrics to {path}: {exc}") from exc
+    with open(path, "w", newline="") as fh:
+        fh.write("epoch,train_loss,train_acc,test_loss,test_acc\n")
+        for m in metrics:
+            fh.write(
+                f"{m.epoch},{m.train_loss:.6f},{m.train_accuracy:.6f},"
+                f"{m.test_loss:.6f},{m.test_accuracy:.6f}\n"
+            )
 

@@ -147,6 +147,24 @@ class TestIngest:
         code = run(["ingest", "--data-dir", str(empty), "--output-dir", str(tmp_path / "o")])
         assert code == cli.EXIT_DATA
 
+    def test_failed_ingest_leaves_no_stale_cache(self, tmp_path):
+        cfg, out = fast_config(tmp_path, "a")
+        assert run(["synth", "--config", str(cfg)]) == 0
+        assert run(["render", "--config", str(cfg)]) == 0
+        data = tmp_path / "data"
+        write_disk_records(data, {"100": "MLII"})
+        hea = data / "100.hea"
+        hea.write_text(hea.read_text().replace("212 200 11", "212 nan 11"))
+        code = run(["ingest", "--data-dir", str(data), "--output-dir", str(out)])
+        assert code == cli.EXIT_DATA
+        assert not list((out / "signals").glob("*.npy"))
+        skipped = json.loads((out / "signals" / "skipped.json").read_text())
+        assert list(skipped) == ["100"] and "nan" in skipped["100"]
+        # nor does the render that fails after it, so train has nothing old
+        assert run(["render", "--output-dir", str(out)]) == cli.EXIT_DATA
+        assert not list((out / "images").iterdir())
+        assert run(["train", "--config", str(cfg)]) == cli.EXIT_DATA
+
 
 class TestRender:
     def test_renders_all_cached_signals(self, tmp_path):
@@ -177,10 +195,11 @@ class TestRender:
         # three samples cannot feed the third-order scheme
         short = record_io.Signal("999", "MLII", 360.0, np.array([0.0, 1.0, 0.0]))
         cli._save_signal(config, short)
+        cli._save_signal(config, record_io.synth_ecg(2.0, 360.0, record_id="998"))
         assert run(["render", "--output-dir", str(out)]) == 0
         skipped = json.loads((out / "images" / "render_skipped.json").read_text())
-        assert "999" in skipped
-        assert not (out / "images" / "999.ppm").exists()
+        assert list(skipped) == ["999"]
+        assert sorted(p.name for p in (out / "images").glob("*.ppm")) == ["998.ppm"]
 
     def test_overflowing_derivative_lands_in_skip_report(self, tmp_path):
         data, out = tmp_path / "data", tmp_path / "out"
@@ -208,6 +227,15 @@ class TestRender:
             images.append((out / "images" / "100.ppm").read_bytes())
         assert images[0] == images[1]
 
+    def test_render_of_nothing_is_data_error(self, tmp_path):
+        cfg, out = fast_config(tmp_path, "e")
+        # one sample per record: too short for any derivative scheme
+        assert run(["synth", "--config", str(cfg), "--synth-duration-s", "0.0015"]) == 0
+        assert run(["render", "--config", str(cfg)]) == cli.EXIT_DATA
+        skipped = json.loads((out / "images" / "render_skipped.json").read_text())
+        assert len(skipped) == 44
+        assert not list((out / "images").glob("*.ppm"))
+
     def test_rerender_removes_image_of_skipped_record(self, tmp_path):
         out = tmp_path / "out"
         config = cli.RunConfig(output_dir=str(out))
@@ -216,7 +244,7 @@ class TestRender:
         assert (out / "images" / "999.ppm").exists()
         # the same record re-ingested too short to embed
         cli._save_signal(config, record_io.Signal("999", "MLII", 360.0, np.zeros(3)))
-        assert run(["render", "--output-dir", str(out)]) == 0
+        assert run(["render", "--output-dir", str(out)]) == cli.EXIT_DATA
         assert not (out / "images" / "999.ppm").exists()
         with pytest.raises(MissingImage):
             cli._load_images(config, ["999"])

@@ -45,16 +45,22 @@ def zero_model(config=TINY):
     )
 
 
+def pad_same(x, k):
+    """Zero-pad a batch's spatial axes for a same-size k x k convolution."""
+    p = (k - 1) // 2
+    return np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
+
+
 class TestConv:
     def test_identity_kernel(self):
         layer = nn.ConvLayer(np.ones((1, 1, 1, 1)), np.zeros(1))
-        x = np.random.default_rng(0).normal(size=(5, 5, 1))
+        x = np.random.default_rng(0).normal(size=(1, 5, 5, 1))
         assert np.allclose(nn.conv2d_forward(x, layer), x)
 
     def test_hand_example_all_ones(self):
         x = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 9]], dtype=float)[:, :, None]
         layer = nn.ConvLayer(np.ones((3, 3, 1, 1)), np.zeros(1))
-        out = nn.conv2d_forward(x, layer)[:, :, 0]
+        out = nn.conv2d_forward(x[None], layer)[0, :, :, 0]
         assert out[1, 1] == 45.0
         assert out[0, 0] == 12.0  # zero padding: 1 + 2 + 4 + 5
 
@@ -68,7 +74,7 @@ class TestConv:
             k = int(rng.choice([1, 3, 5]))
             x = rng.normal(size=(h, w, c_in))
             layer = nn.ConvLayer(rng.normal(size=(k, k, c_in, c_out)), rng.normal(size=c_out))
-            fast = nn.conv2d_forward(x, layer)
+            fast = nn.conv2d_forward(x[None], layer)[0]
             slow = conv2d_naive(x, layer.kernels, layer.bias)
             assert np.max(np.abs(fast - slow)) < 1e-10
 
@@ -78,20 +84,26 @@ class TestConv:
     def test_im2col_matches_loop(self, k, c, n):
         rng = np.random.default_rng(k * 100 + c * 10 + n)
         h, w = 7, 4
-        padded = rng.normal(size=(n, h + k - 1, w + k - 1, c))
-        fast = nn._im2col(padded, k)
+        x = rng.normal(size=(n, h, w, c))
+        fast = nn._im2col(x, k)
         assert fast.shape == (n, h, w, k * k * c)
-        assert np.array_equal(fast, im2col_loop(padded, k))
+        assert np.array_equal(fast, im2col_loop(pad_same(x, k), k))
 
     def test_im2col_of_strided_input(self):
-        # a non-contiguous batch gives the same patches as its contiguous copy
-        padded = np.random.default_rng(3).normal(size=(2, 12, 10, 6))[:, ::2, :, 1::2]
-        assert np.array_equal(nn._im2col(padded, 3), im2col_loop(padded, 3))
+        # a non-contiguous batch gives the same patches as its contiguous
+        # copy; so does a Fortran-ordered one, whose layout np.pad would keep
+        rng = np.random.default_rng(3)
+        strided = rng.normal(size=(2, 12, 10, 6))[:, ::2, :, 1::2]
+        fortran = np.asfortranarray(rng.normal(size=(2, 5, 4, 3)))
+        for x in (strided, fortran):
+            assert np.array_equal(nn._im2col(x, 3), im2col_loop(pad_same(x, 3), 3))
 
     def test_channel_mismatch(self):
+        # a wrong channel count, or a single image without its batch axis
         layer = nn.ConvLayer(np.zeros((3, 3, 2, 4)), np.zeros(4))
-        with pytest.raises(ShapeMismatch):
-            nn.conv2d_forward(np.zeros((6, 6, 3)), layer)
+        for shape in ((1, 6, 6, 3), (6, 6, 2)):
+            with pytest.raises(ShapeMismatch):
+                nn.conv2d_forward(np.zeros(shape), layer)
 
 
 class TestRelu:
@@ -101,16 +113,16 @@ class TestRelu:
 
 class TestMaxPool:
     def test_single_window(self):
-        x = np.array([[1, 2], [3, 4]], dtype=float)[:, :, None]
+        x = np.array([[1, 2], [3, 4]], dtype=float)[None, :, :, None]
         out, arg = nn.maxpool_forward(x)
-        assert out[0, 0, 0] == 4.0
-        assert arg[0, 0, 0] == 3
+        assert out[0, 0, 0, 0] == 4.0
+        assert arg[0, 0, 0, 0] == 3
 
     def test_tie_break_first_row_major(self):
-        x = np.full((2, 2, 1), 5.0)
+        x = np.full((1, 2, 2, 1), 5.0)
         out, arg = nn.maxpool_forward(x)
-        assert out[0, 0, 0] == 5.0
-        assert arg[0, 0, 0] == 0
+        assert out[0, 0, 0, 0] == 5.0
+        assert arg[0, 0, 0, 0] == 0
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(8)
@@ -119,16 +131,16 @@ class TestMaxPool:
             w = 2 * int(rng.integers(1, 7))
             c = int(rng.integers(1, 4))
             x = rng.normal(size=(h, w, c))
-            fast, fast_arg = nn.maxpool_forward(x)
+            fast, fast_arg = (t[0] for t in nn.maxpool_forward(x[None]))
             slow, slow_arg = maxpool_naive(x)
             assert np.array_equal(fast, slow)
             assert np.array_equal(fast_arg, slow_arg)
 
     def test_nan_picks_later_corner_of_its_pair(self):
-        x = np.array([[0.0, 0.0], [np.nan, 0.0]])[:, :, None]
+        x = np.array([[0.0, 0.0], [np.nan, 0.0]])[None, :, :, None]
         out, arg = nn.maxpool_forward(x)
-        assert np.isnan(out[0, 0, 0])
-        assert arg[0, 0, 0] == 3
+        assert np.isnan(out[0, 0, 0, 0])
+        assert arg[0, 0, 0, 0] == 3
 
     def test_matches_naive_oracle_after_relu(self):
         # ReLU output is what the network pools: most windows of a negative-
@@ -139,7 +151,7 @@ class TestMaxPool:
             w = 2 * int(rng.integers(1, 7))
             c = int(rng.integers(1, 4))
             x = nn.relu(rng.normal(loc=-1.5, size=(h, w, c)))
-            fast, fast_arg = nn.maxpool_forward(x)
+            fast, fast_arg = (t[0] for t in nn.maxpool_forward(x[None]))
             slow, slow_arg = maxpool_naive(x)
             assert np.array_equal(fast, slow)
             assert np.array_equal(fast_arg, slow_arg)
@@ -147,7 +159,7 @@ class TestMaxPool:
     def test_backward_routes_to_oracle_argmax(self):
         rng = np.random.default_rng(10)
         x = nn.relu(rng.normal(loc=-0.5, size=(2, 6, 8, 3)))
-        _, arg = nn._pool_forward(x)
+        _, arg = nn.maxpool_forward(x)
         assert arg.dtype == np.int8
         dout = rng.normal(size=(2, 3, 4, 3))
         dx = nn._pool_backward(dout, arg)
@@ -171,7 +183,7 @@ class TestMaxPool:
         dp = data.draw(hnp.arrays(np.float64, (n, h, w, c), elements=(
             st.sampled_from([-np.inf, -0.0, 0.0, np.inf]) | st.floats(-3, 3)
         )))
-        p, arg = nn._pool_forward(nn.relu(z))
+        p, arg = nn.maxpool_forward(nn.relu(z))
         with np.errstate(invalid="ignore"):  # inf times a zero mask
             before = nn._pool_backward(dp * (p > 0), arg)
             after = nn._pool_backward(dp, arg) * (z > 0)
@@ -179,20 +191,22 @@ class TestMaxPool:
 
     def test_odd_dimension(self):
         with pytest.raises(OddDimension):
-            nn.maxpool_forward(np.zeros((3, 4, 1)))
+            nn.maxpool_forward(np.zeros((1, 3, 4, 1)))
 
 
 class TestFlattenDense:
     def test_flatten_row_major(self):
-        x = np.array([[1, 2], [3, 4]], dtype=float)[:, :, None]
-        assert nn.flatten(x).tolist() == [1.0, 2.0, 3.0, 4.0]
+        x = np.array([[1, 2], [3, 4]], dtype=float)[None, :, :, None]
+        assert nn.flatten(x).tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
     def test_flatten_roundtrip(self):
-        x = np.random.default_rng(1).normal(size=(4, 6, 3))
-        assert np.array_equal(nn.flatten(x).reshape(4, 6, 3), x)
+        x = np.random.default_rng(1).normal(size=(2, 4, 6, 3))
+        assert np.array_equal(nn.flatten(x).reshape(2, 4, 6, 3), x)
 
     def test_flatten_model_scale(self):
-        assert nn.flatten(np.zeros((16, 16, 64))).shape == (16384,)
+        assert nn.flatten(np.zeros((1, 16, 16, 64))).shape == (1, 16384)
+        with pytest.raises(ShapeMismatch):  # one image without its batch axis
+            nn.flatten(np.zeros((16, 16, 64)))
 
     def test_dense_identity(self):
         layer = nn.DenseLayer(np.eye(5), np.zeros(5))
@@ -265,6 +279,17 @@ class TestForward:
         assert cache.pool2_arg.shape == (1, 16, 16, 64)
         assert cache.flat.shape == (1, 16384)
         assert cache.ad.shape == (1, 128)
+
+        # a batch-8 cache holds x, p1, both argmaxes, flat, ad and prob; no
+        # patch matrix or pre-activation
+        batch = np.random.default_rng(2).uniform(0, 1, (8, 64, 64, 3))
+        _, cache = nn.forward_batch(model, batch)
+        sizes = {f.name: getattr(cache, f.name).nbytes for f in dataclasses.fields(cache)}
+        assert sizes == {
+            "x": 8 * 64 * 64 * 3 * 8, "pool1_arg": 8 * 32 * 32 * 32, "p1": 8 * 32 * 32 * 32 * 8,
+            "pool2_arg": 8 * 16 * 16 * 64, "flat": 8 * 16384 * 8, "ad": 8 * 128 * 8, "prob": 8 * 8,
+        }
+        assert sum(sizes.values()) == 4_333_632
 
     def test_deterministic(self):
         model = nn.init_weights(TINY, seed=3)
@@ -437,7 +462,8 @@ class TestCheckpoint:
     def test_parameters_in_checkpoint_order(self):
         model = nn.init_weights(TINY, seed=5)
         assert tuple(nn.parameters(model)) == PARAM_TENSORS
-        assert model.parameter_count() == (54 + 2) + (36 + 2) + (32 + 4) + (4 + 1)
+        count = sum(t.size for t in nn.parameters(model).values())
+        assert count == (54 + 2) + (36 + 2) + (32 + 4) + (4 + 1)
 
     @pytest.mark.parametrize("edit", [
         # a one-element conv1 bias would broadcast silently if it loaded
