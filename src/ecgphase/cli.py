@@ -133,11 +133,9 @@ def load_config(path, overrides: dict) -> RunConfig:
     values: dict = {}
     if path:
         with open(path) as fh:
-            file_values = json.load(fh)
-        unknown = set(file_values) - set(_FIELD_TYPES)
-        if unknown:
-            raise EcgPhaseError(f"unknown config keys: {sorted(unknown)}")
-        values.update(file_values)
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            raise ValueError(f"config file {path} holds a JSON {type(values).__name__}, not an object")
     values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)
 
@@ -350,9 +348,6 @@ def cmd_eval(config: RunConfig, records: list[str] | None = None) -> int:
     labels = load_labels()
 
     if records:
-        unknown = [rid for rid in records if rid not in labels]
-        if unknown:
-            raise EcgPhaseError(f"records not in the label table: {unknown}")
         pairs = [(rid, labels[rid]) for rid in records]
     else:
         pairs = list(config.dataset_split().test)
@@ -379,13 +374,9 @@ def cmd_run_all(config: RunConfig) -> int:
 
 # --- argument parsing ---
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> _Parser:
@@ -418,22 +409,18 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        records = args.records.split(",") if getattr(args, "records", None) else None
-        if records and len(set(records)) != len(records):
-            parser.error(f"--records lists a record more than once: {args.records}")
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        overrides = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
+        # every usage error is a ValueError or TypeError raised here, before
+        # any file is written; an unreadable --config file is an OSError
         try:
+            args = build_parser().parse_args(argv)
+            records = args.records.split(",") if getattr(args, "records", None) else None
+            if records and (len(set(records)) < len(records) or set(records) - set(load_labels())):
+                raise ValueError(f"--records needs distinct ids from the label table: {args.records}")
+            overrides = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
             config = load_config(args.config, overrides)
-        except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
-            print(f"usage error: bad config: {exc}", file=sys.stderr)
+        except (ValueError, TypeError) as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         _write_resolved_config(config, args.command)
 

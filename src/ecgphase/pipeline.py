@@ -23,7 +23,7 @@ from .errors import (
 )
 from .neuralnet import Model, backward_batch, bce_loss, forward_batch, sgd_step
 from .rasterizer import AugmentParams, augment
-from .record_io import PUBLISHED_SPLIT, Label
+from .record_io import PUBLISHED_SPLIT, Label, load_labels
 
 DECISION_THRESHOLD = 0.5  # p >= threshold predicts unhealthy
 PREDICT_CHUNK = 16  # images per inference forward; GEMM bits can depend on the row count
@@ -50,7 +50,8 @@ def split_from_quadrants(q: dict) -> DatasetSplit:
     """The split of a table keyed like PUBLISHED_SPLIT.
 
     Raises ValueError unless `q` maps exactly those four keys to lists of
-    record ids and both train and test hold at least one record.
+    record ids of the label table, each under its own label, and both train
+    and test hold at least one record.
     """
     if set(q) != set(PUBLISHED_SPLIT) or not all(
         isinstance(ids, (list, tuple)) and all(isinstance(rid, str) for rid in ids)
@@ -65,6 +66,10 @@ def split_from_quadrants(q: dict) -> DatasetSplit:
     )
     if not (split.train and split.test):
         raise ValueError("split needs at least one train and one test record")
+    table = load_labels()
+    mislabeled = [rid for rid, label in split.train + split.test if table.get(rid) != label]
+    if mislabeled:
+        raise ValueError(f"split records not in the label table under that label: {mislabeled}")
     return split
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTrajectory, MalformedPPM
+from .errors import MalformedPPM
 from .phase_space import QRChord, Trajectory
 
 IMAGE_SIZE = 64
@@ -65,8 +65,6 @@ def fit_viewport(trajectory: Trajectory, margin: float = 0.05) -> Viewport:
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
     pts = trajectory.points
-    if pts.shape[0] == 0:
-        raise EmptyTrajectory("cannot fit a viewport to an empty trajectory")
 
     lims = []
     for axis in (0, 1):

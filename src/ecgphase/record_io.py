@@ -263,11 +263,14 @@ def select_channel(header: RecordHeader, raw: np.ndarray, name: str) -> Signal:
 
 
 def load_record(header_path, channel: str = "MLII") -> Signal:
-    """Read a header/.dat pair from disk and return the named channel."""
+    """Read `<record>.hea` and `<record>.dat` and return the named channel;
+    the header must name `<record>`."""
     from pathlib import Path
 
     header_path = Path(header_path)
     header = parse_header(header_path.read_text())
+    if header.record_id != header_path.stem:
+        raise MalformedHeader(f"{header_path.name} names record {header.record_id!r}")
     raw = decode_format212(
         header_path.with_suffix(".dat").read_bytes(), header.n_samples, header.n_channels
     )
@@ -383,8 +386,8 @@ def synth_ecg_irregular(
             # wide, blunted QRS with inverted T
             bumps = [(c, w * 2.5, a * (0.55 if a > 0.5 else 1.0)) for c, w, a in bumps]
             bumps[-1] = (bumps[-1][0], bumps[-1][1], -bumps[-1][2])
-        in_beat = (t >= start) & (t < start + period)
-        samples[in_beat] += _beat_voltage(t[in_beat] - start, period, bumps)
+        lo, hi = np.searchsorted(t, (start, start + period))
+        samples[lo:hi] += _beat_voltage(t[lo:hi] - start, period, bumps)
         start += period
 
     if noise_amp > 0:

@@ -173,3 +173,36 @@ def rasterize_loop(trajectory, chord, viewport):
         x1, y1 = pixel_of(v0 + 1.0 * (v1 - v0), dv0 + 1.0 * (dv1 - dv0), viewport)
         draw_line(img, x0, y0, x1, y1)
     return img
+
+
+def synth_irregular_mask(
+    duration, sampling_rate, heart_rate=60.0, rr_jitter=0.3, amp_jitter=0.4,
+    ectopic_prob=0.35, noise_amp=0.02, seed=0,
+):
+    """`record_io.synth_ecg_irregular`'s samples, each beat placed with a
+    full-length boolean mask over the time axis instead of a sorted slice.
+
+    The beat shape is the package's own `_beat_voltage`; only the choice of
+    samples that each beat covers is checked.
+    """
+    from ecgphase.record_io import ECG_BUMPS, _beat_voltage
+
+    rng = np.random.default_rng(seed)
+    n = int(round(duration * sampling_rate))
+    t = np.arange(n) / sampling_rate
+    samples = np.zeros(n)
+    nominal = 60.0 / heart_rate
+    start = 0.0
+    while start < duration:
+        period = nominal * rng.uniform(1.0 - rr_jitter, 1.0 + rr_jitter)
+        scale = rng.uniform(1.0 - amp_jitter, 1.0 + amp_jitter)
+        bumps = [(c, w, a * scale) for c, w, a in ECG_BUMPS]
+        if rng.uniform() < ectopic_prob:
+            bumps = [(c, w * 2.5, a * (0.55 if a > 0.5 else 1.0)) for c, w, a in bumps]
+            bumps[-1] = (bumps[-1][0], bumps[-1][1], -bumps[-1][2])
+        in_beat = (t >= start) & (t < start + period)
+        samples[in_beat] += _beat_voltage(t[in_beat] - start, period, bumps)
+        start += period
+    if noise_amp > 0:
+        samples = samples + rng.uniform(-noise_amp, noise_amp, size=n)
+    return samples

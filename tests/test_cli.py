@@ -141,6 +141,20 @@ class TestIngest:
             assert ingested == ["101"]
             assert list(skipped) == ["100"] and "100.csv" in skipped["100"]
 
+    def test_header_must_name_its_own_record(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
+        write_disk_records(data, {"100": "MLII", "x": "MLII", "a": "MLII"})
+        # x.hea names record 100, a.hea names the excluded record 102
+        for stem, named in (("x", "100"), ("a", "102")):
+            hea = data / f"{stem}.hea"
+            hea.write_text(hea.read_text().replace(f"{stem} ", f"{named} ", 1))
+        assert run(["ingest", "--data-dir", str(data), "--output-dir", str(out)]) == 0
+        assert sorted(p.stem for p in (out / "signals").glob("*.npy")) == ["100"]
+        expected = record_io.load_record(data / "100.hea").samples
+        assert np.array_equal(np.load(out / "signals" / "100.npy"), expected)
+        skipped = json.loads((out / "signals" / "skipped.json").read_text())
+        assert skipped == {"a": "a.hea names record '102'", "x": "x.hea names record '100'"}
+
     def test_empty_directory_is_data_error(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -297,8 +311,12 @@ class TestTrainEval:
         assert not (out / "eval_report.json").exists()
 
     def test_eval_unknown_record(self, trained):
-        cfg, _ = trained
-        assert run(["eval", "--config", str(cfg), "--records", "102"]) == cli.EXIT_DATA
+        cfg, out = trained
+        assert run(["eval", "--config", str(cfg)]) == 0
+        written = {name: (out / name).read_bytes() for name in ("run_config.json", "eval_report.json")}
+        # 102 is excluded from the label table
+        assert run(["eval", "--config", str(cfg), "--records", "102,103"]) == cli.EXIT_USAGE
+        assert {name: (out / name).read_bytes() for name in written} == written
 
     def test_corrupt_checkpoint(self, trained):
         cfg, out = trained
@@ -358,7 +376,13 @@ class TestUsage:
     def test_unknown_config_key(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"no_such_option": 1}')
-        assert run(["ingest", "--config", str(bad)]) == cli.EXIT_DATA
+        assert run(["ingest", "--config", str(bad)]) == cli.EXIT_USAGE
+
+    def test_missing_config_file_is_data_error(self, tmp_path):
+        out = tmp_path / "o"
+        code = run(["train", "--config", str(tmp_path / "none.json"), "--output-dir", str(out)])
+        assert code == cli.EXIT_DATA
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags", [
         ["--zoom-range", "1.5"],
@@ -398,6 +422,13 @@ class TestUsage:
         ("train", '{"split": null}'),
         ("train", '{"split": {"train_healthy": ["101", "101"], "train_unhealthy": ["106"], '
                   '"test_healthy": ["103"], "test_unhealthy": ["100"]}}'),
+        ("train", '[]'),
+        ("train", '"abc"'),
+        ("ingest", '{"no_such_option": 1}'),
+        ("run-all", '{"synth": true, "split": {"train_healthy": ["101", "106"], '
+                    '"train_unhealthy": ["100"], "test_healthy": ["103"], "test_unhealthy": ["105"]}}'),
+        ("run-all", '{"synth": true, "split": {"train_healthy": ["101", "102"], '
+                    '"train_unhealthy": ["106"], "test_healthy": ["103"], "test_unhealthy": ["100"]}}'),
         ("synth", '{"synth_duration_s": 0.001}'),
         ("synth", '{"synth_duration_s": 1e200, "synth_sampling_rate": 1e200}'),
     ])

@@ -15,6 +15,7 @@ from ecgphase.errors import (
     UnsupportedFormat,
 )
 from ecgphase.record_io import Label
+from oracles import synth_irregular_mask
 
 HEADER_100 = (
     "100 2 360 650000\n"
@@ -239,6 +240,19 @@ class TestSynthEcg:
     def test_heart_rate_bounds(self):
         with pytest.raises(ValueError):
             record_io.synth_ecg(1.0, 360.0, heart_rate=10.0)
+
+    @pytest.mark.parametrize("duration, rate, kwargs", [
+        (0.0015, 360.0, {}),
+        (5.0, 360.0, {"seed": 1}),
+        (7.3, 250.0, {"heart_rate": 95.0, "seed": 2}),
+        (20.0, 360.0, {"heart_rate": 50.0, "rr_jitter": 0.0, "seed": 3}),
+        (3.0, 1000.0, {"ectopic_prob": 1.0, "noise_amp": 0.0, "seed": 4}),
+        (600.0, 360.0, {"seed": 5}),
+    ])
+    def test_irregular_matches_mask_oracle(self, duration, rate, kwargs):
+        sig = record_io.synth_ecg_irregular(duration, rate, **kwargs)
+        expected = synth_irregular_mask(duration, rate, **kwargs)
+        assert sig.samples.tobytes() == expected.tobytes()
 
     def test_irregular_differs_from_periodic(self):
         reg = record_io.synth_ecg(5.0, 360.0, 60.0, seed=1)
