@@ -136,6 +136,8 @@ def load_config(path, overrides: dict) -> RunConfig:
             values = json.load(fh)
         if not isinstance(values, dict):
             raise ValueError(f"config file {path} holds a JSON {type(values).__name__}, not an object")
+        # a run_config.json names its command, which argv gives on a replay
+        values.pop("command", None)
     values.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**values)
 
@@ -174,25 +176,6 @@ def _save_signal(config: RunConfig, signal: Signal) -> None:
     )
 
 
-def _load_cached_signals(config: RunConfig) -> dict[str, Signal]:
-    sig_dir = config.signals_dir()
-    signals = {}
-    for meta_path in sorted(sig_dir.glob("*.json")):
-        if meta_path.name == "skipped.json":
-            continue
-        meta = json.loads(meta_path.read_text())
-        samples = np.load(meta_path.with_suffix(".npy"))
-        signals[meta["record_id"]] = Signal(
-            record_id=meta["record_id"],
-            channel=meta["channel"],
-            sampling_rate=meta["sampling_rate"],
-            samples=samples,
-        )
-    if not signals:
-        raise NoRecords(f"no cached signals under {sig_dir}; run ingest first")
-    return signals
-
-
 def _synth_corpus(config: RunConfig) -> dict[str, Signal]:
     """Deterministic stand-in corpus for the 44 labeled records.
 
@@ -225,71 +208,71 @@ def _synth_corpus(config: RunConfig) -> dict[str, Signal]:
 
 
 def cmd_ingest(config: RunConfig) -> int:
-    """Build the per-record signal cache from disk records, CSVs, or synth."""
+    """Build the per-record signal cache from disk records, CSVs, or synth;
+    each disk record is loaded and saved before the next one is read."""
     skipped: dict[str, str] = {}
-    signals: dict[str, Signal] = {}
     sig_dir = config.signals_dir()
     _remove_files(sig_dir, "*.npy", "*.json")
 
     if config.synth:
-        signals = _synth_corpus(config)
+        records = _synth_corpus(config)
+        for signal in records.values():
+            _save_signal(config, signal)
     else:
         data_dir = Path(config.data_dir)
-        # the last file of a record id decides whether it is ingested or
-        # skipped, and CSVs come last, so a CSV replaces a header record
-        paths = sorted(data_dir.glob("*.hea")) + sorted(data_dir.glob("*.csv"))
-        if not paths:
+        # each record id's deciding file: CSVs come last and replace the
+        # header of the same id, which is then never opened
+        records = {p.stem: p for p in sorted(data_dir.glob("*.hea")) + sorted(data_dir.glob("*.csv"))}
+        if not records:
             raise NoRecords(f"no .hea or .csv records under {data_dir}")
-        for path in paths:
-            rid = path.stem
-            signals.pop(rid, None)
-            skipped.pop(rid, None)
+        for rid, path in sorted(records.items()):
             if rid in EXCLUDED_RECORDS:
                 skipped[rid] = "excluded record (no MLII or paced beats)"
                 continue
             try:
                 if path.suffix == ".hea":
-                    signals[rid] = record_io.load_record(path, channel=config.channel)
+                    signal = record_io.load_record(path, channel=config.channel)
                 else:
-                    signals[rid] = record_io.load_csv(
-                        path, sampling_rate=config.csv_sampling_rate
-                    )
+                    signal = record_io.load_csv(path, sampling_rate=config.csv_sampling_rate)
             except (EcgPhaseError, OSError) as exc:
                 skipped[rid] = str(exc)
+            else:
+                _save_signal(config, signal)
 
-    for rid in sorted(signals):
-        _save_signal(config, signals[rid])
     _write_json(sig_dir / "skipped.json", skipped)
-    if not signals:
+    ingested = len(records) - len(skipped)
+    if not ingested:
         raise NoRecords(f"every record failed to ingest; reasons in {sig_dir / 'skipped.json'}")
-    print(f"ingested {len(signals)} records, skipped {len(skipped)}")
+    print(f"ingested {ingested} records, skipped {len(skipped)}")
     return EXIT_OK
 
 
 def cmd_render(config: RunConfig) -> int:
-    """Embed every cached signal and rasterize it to <record_id>.ppm."""
+    """Embed each cached signal in turn and rasterize it to <record_id>.ppm."""
     img_dir = config.images_dir()
     _remove_files(img_dir, "*.ppm", "render_skipped.json")
-    signals = _load_cached_signals(config)
+    sig_dir = config.signals_dir()
+    paths = sorted(sig_dir.glob("*.npy"))
+    if not paths:
+        raise NoRecords(f"no cached signals under {sig_dir}; run ingest first")
     img_dir.mkdir(parents=True, exist_ok=True)
     scheme = config.scheme()
     skipped: dict[str, str] = {}
-    rendered = 0
 
-    for rid in sorted(signals):
-        sig = signals[rid]
+    for path in paths:
+        sig = Signal(**json.loads(path.with_suffix(".json").read_text()), samples=np.load(path))
         try:
             traj = phase_space.embed(sig, scheme)
             chord = phase_space.chord_for_signal(sig, traj, config.q_window_ms)
             viewport = rasterizer.fit_viewport(traj, config.viewport_margin)
             image = rasterizer.rasterize(traj, chord, viewport)
         except (TooShort, NonFinite) as exc:
-            skipped[rid] = str(exc)
+            skipped[sig.record_id] = str(exc)
             continue
-        (img_dir / f"{rid}.ppm").write_bytes(rasterizer.write_ppm(image))
-        rendered += 1
+        (img_dir / f"{sig.record_id}.ppm").write_bytes(rasterizer.write_ppm(image))
 
     _write_json(img_dir / "render_skipped.json", skipped)
+    rendered = len(paths) - len(skipped)
     if not rendered:
         raise NoRecords(f"every record failed to render; reasons in {img_dir / 'render_skipped.json'}")
     print(f"rendered {rendered} images, skipped {len(skipped)}")

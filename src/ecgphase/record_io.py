@@ -29,6 +29,9 @@ from .errors import (
 
 SUPPORTED_FORMATS = frozenset({212})
 
+# a CSV time step must exceed this for its inverse, the rate, to be finite
+_MIN_STEP = 1.0 / np.finfo(np.float64).max
+
 # header(5) ADC gain field: gain[(baseline)][/units]
 _GAIN_FIELD = re.compile(r"([^(/]+)(?:\((.*)\))?(?:/.*)?")
 
@@ -146,11 +149,6 @@ def parse_header(text: str) -> RecordHeader:
         n_samples = int(first[3])
     except ValueError as exc:
         raise MalformedHeader(f"non-numeric field in first line: {lines[0]!r}") from exc
-
-    if len(lines) - 1 < n_channels:
-        raise MalformedHeader(
-            f"header declares {n_channels} channels but has {len(lines) - 1} channel lines"
-        )
 
     channels = []
     for ln in lines[1 : 1 + n_channels]:
@@ -448,8 +446,8 @@ def load_csv(path, sampling_rate: float | None = None, channel: str = "csv") -> 
             raise MalformedRow(f"{path.name}: need at least 2 rows to infer the rate")
         steps = np.diff(np.asarray(times))
         h = steps[0]
-        if not (np.all(np.isfinite(steps)) and h > 0) or np.any(np.abs(steps - h) > 1e-6 * h):
-            raise NonUniformSampling(f"{path.name}: time steps are not uniform")
+        if not (np.all(np.isfinite(steps)) and h > _MIN_STEP) or np.any(np.abs(steps - h) > 1e-6 * h):
+            raise NonUniformSampling(f"{path.name}: time steps are not uniform or too small to invert")
         rate = 1.0 / h
     else:
         if sampling_rate is None or sampling_rate <= 0:

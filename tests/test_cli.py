@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,19 @@ class TestIngest:
         assert json.loads((sig_dir / "105.json").read_text())["sampling_rate"] == 360.0
         assert np.array_equal(np.load(sig_dir / "100.npy"), -plain)
         assert json.loads((sig_dir / "100.json").read_text())["channel"] == "csv"
+
+    def test_shadowed_headers_are_not_read(self, tmp_path, monkeypatch):
+        data, out = tmp_path / "data", tmp_path / "out"
+        write_disk_records(data, {"100": "MLII", "101": "MLII"})
+        for rid in ("100", "101"):
+            (data / f"{rid}.csv").write_text("0,0.0\n0.004,0.5\n0.008,0.1\n")
+
+        def no_header_read(*args, **kwargs):
+            raise AssertionError("a header shadowed by a CSV was read")
+
+        monkeypatch.setattr(record_io, "load_record", no_header_read)
+        assert run(["ingest", "--data-dir", str(data), "--output-dir", str(out)]) == 0
+        assert sorted(p.stem for p in (out / "signals").glob("*.npy")) == ["100", "101"]
 
     def test_missing_dat_skips_only_that_record(self, tmp_path):
         data, out = tmp_path / "data", tmp_path / "out"
@@ -262,6 +276,31 @@ class TestRender:
         assert not (out / "images" / "999.ppm").exists()
         with pytest.raises(MissingImage):
             cli._load_images(config, ["999"])
+
+
+def test_ingest_and_render_hold_one_record_at_a_time(tmp_path):
+    """Each command's traced peak over six records stays within one record's
+    samples of its peak over two: no command holds the whole corpus."""
+    mv = record_io.synth_ecg_irregular(100.0, 360.0, seed=0).samples
+    adu = np.rint(mv * 200.0).astype(np.int64)[:, None]
+    header = "{rid} 1 360 {n}\n{rid}.dat 212 200 11 0 0 0 0 MLII\n"
+    peaks = {}
+    for count in (2, 6):
+        data, out = tmp_path / f"data{count}", tmp_path / f"out{count}"
+        data.mkdir()
+        for rid in ("100", "101", "103", "105", "106", "108")[:count]:
+            (data / f"{rid}.hea").write_text(header.format(rid=rid, n=len(adu)))
+            (data / f"{rid}.dat").write_bytes(record_io.encode_format212(adu))
+        config = cli.RunConfig(data_dir=str(data), output_dir=str(out))
+        for command in (cli.cmd_ingest, cli.cmd_render):
+            tracemalloc.start()
+            try:
+                command(config)
+                peaks[command.__name__, count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    for name in ("cmd_ingest", "cmd_render"):
+        assert peaks[name, 6] - peaks[name, 2] < mv.nbytes, (name, peaks)
 
 
 @pytest.fixture(scope="module")
@@ -461,6 +500,13 @@ class TestUsage:
         assert run(["render", "--output-dir", "out"]) == cli.EXIT_DATA  # no signals
         digest = hashlib.sha256((tmp_path / "out" / "run_config.json").read_bytes()).hexdigest()
         assert digest == GOLDEN_RUN_CONFIG_SHA256
+
+    def test_run_config_replays(self, tmp_path):
+        cfg, out = fast_config(tmp_path, "replay")
+        assert run(["synth", "--config", str(cfg)]) == 0
+        resolved = json.loads((out / "run_config.json").read_text())
+        assert run(["render", "--config", str(out / "run_config.json")]) == 0
+        assert json.loads((out / "run_config.json").read_text()) == {**resolved, "command": "render"}
 
     def test_flag_overrides_config_file(self, tmp_path):
         cfg, out = fast_config(tmp_path, "o", seed=3)

@@ -287,6 +287,8 @@ class TestLoadCsv:
         "0,0.0\nnan,0.1\n0.002,0.2\n",
         "0,0.0\ninf,0.1\n0.002,0.2\n",
         "nan,0.0\nnan,0.1\n",
+        # a positive step whose inverse, the rate, overflows
+        "0,0.0\n5e-324,0.1\n1e-323,0.2\n",
     ])
     def test_non_finite_time_step(self, tmp_path, text):
         p = tmp_path / "r.csv"
