@@ -15,6 +15,7 @@ import math
 import sys
 import typing
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -176,71 +177,65 @@ def _save_signal(config: RunConfig, signal: Signal) -> None:
     )
 
 
-def _synth_corpus(config: RunConfig) -> dict[str, Signal]:
-    """Deterministic stand-in corpus for the 44 labeled records.
+def _synth_corpus(config: RunConfig) -> dict[str, typing.Callable[[], Signal]]:
+    """Deterministic stand-in corpus for the 44 labeled records: each id's
+    zero-argument generator.
 
     Healthy records get clean periodic beats; unhealthy records get
     beat-interval and amplitude jitter with occasional ectopic-shaped beats,
     mirroring the regular-vs-irregular contrast of the real record groups.
     """
-    labels = load_labels()
-    signals = {}
-    for i, (rid, label) in enumerate(sorted(labels.items())):
+    size = {"duration": config.synth_duration_s, "sampling_rate": config.synth_sampling_rate}
+    loaders = {}
+    for i, (rid, label) in enumerate(sorted(load_labels().items())):
         seed = int(np.random.SeedSequence((config.seed, i)).generate_state(1)[0])
         if label == Label.HEALTHY:
-            signals[rid] = record_io.synth_ecg(
-                duration=config.synth_duration_s,
-                sampling_rate=config.synth_sampling_rate,
-                heart_rate=55.0 + 3.0 * (i % 8),
-                noise_amp=0.01,
-                seed=seed,
-                record_id=rid,
-            )
+            synth = partial(record_io.synth_ecg, heart_rate=55.0 + 3.0 * (i % 8), noise_amp=0.01)
         else:
-            signals[rid] = record_io.synth_ecg_irregular(
-                duration=config.synth_duration_s,
-                sampling_rate=config.synth_sampling_rate,
-                heart_rate=50.0 + 3.0 * (i % 12),
-                seed=seed,
-                record_id=rid,
-            )
-    return signals
+            synth = partial(record_io.synth_ecg_irregular, heart_rate=50.0 + 3.0 * (i % 12))
+        loaders[rid] = partial(synth, **size, seed=seed, record_id=rid)
+    return loaders
+
+
+def _record_loaders(config: RunConfig) -> dict[str, typing.Callable[[], Signal]]:
+    """Each record id's zero-argument loader: the synthetic corpus, or the
+    deciding file of each id under the data directory (CSVs come last and
+    replace the header of the same id, which is then never opened)."""
+    if config.synth:
+        return _synth_corpus(config)
+    data_dir = Path(config.data_dir)
+    paths = {p.stem: p for p in sorted(data_dir.glob("*.hea")) + sorted(data_dir.glob("*.csv"))}
+    if not paths:
+        raise NoRecords(f"no .hea or .csv records under {data_dir}")
+    return {
+        rid: partial(record_io.load_record, path, channel=config.channel)
+        if path.suffix == ".hea"
+        else partial(record_io.load_csv, path, sampling_rate=config.csv_sampling_rate)
+        for rid, path in paths.items()
+    }
 
 
 def cmd_ingest(config: RunConfig) -> int:
     """Build the per-record signal cache from disk records, CSVs, or synth;
-    each disk record is loaded and saved before the next one is read."""
+    each record is loaded and saved before the next one is read."""
     skipped: dict[str, str] = {}
     sig_dir = config.signals_dir()
     _remove_files(sig_dir, "*.npy", "*.json")
-
-    if config.synth:
-        records = _synth_corpus(config)
-        for signal in records.values():
+    loaders = _record_loaders(config)
+    for rid, load in sorted(loaders.items()):
+        if rid in EXCLUDED_RECORDS:
+            skipped[rid] = "excluded record (no MLII or paced beats)"
+            continue
+        try:
+            signal = load()
+        except (EcgPhaseError, OSError) as exc:
+            skipped[rid] = str(exc)
+        else:
             _save_signal(config, signal)
-    else:
-        data_dir = Path(config.data_dir)
-        # each record id's deciding file: CSVs come last and replace the
-        # header of the same id, which is then never opened
-        records = {p.stem: p for p in sorted(data_dir.glob("*.hea")) + sorted(data_dir.glob("*.csv"))}
-        if not records:
-            raise NoRecords(f"no .hea or .csv records under {data_dir}")
-        for rid, path in sorted(records.items()):
-            if rid in EXCLUDED_RECORDS:
-                skipped[rid] = "excluded record (no MLII or paced beats)"
-                continue
-            try:
-                if path.suffix == ".hea":
-                    signal = record_io.load_record(path, channel=config.channel)
-                else:
-                    signal = record_io.load_csv(path, sampling_rate=config.csv_sampling_rate)
-            except (EcgPhaseError, OSError) as exc:
-                skipped[rid] = str(exc)
-            else:
-                _save_signal(config, signal)
+            del signal
 
     _write_json(sig_dir / "skipped.json", skipped)
-    ingested = len(records) - len(skipped)
+    ingested = len(loaders) - len(skipped)
     if not ingested:
         raise NoRecords(f"every record failed to ingest; reasons in {sig_dir / 'skipped.json'}")
     print(f"ingested {ingested} records, skipped {len(skipped)}")

@@ -115,7 +115,8 @@ def detect_q_point(signal: Signal, r_index: int, window_ms: float = 50.0) -> int
         raise IndexOutOfRange(f"r_index {r_index} outside signal of {len(signal)}")
     if r_index == 0:
         return 0
-    w = max(1, int(round(window_ms / 1000.0 * signal.sampling_rate)))
+    # clamped before int(), where it may overflow; a longer window reads from 0 too
+    w = max(1, int(round(min(window_ms / 1000.0 * signal.sampling_rate, r_index))))
     lo = max(0, r_index - w)
     return lo + int(np.argmin(signal.samples[lo:r_index]))
 

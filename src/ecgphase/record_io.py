@@ -330,12 +330,11 @@ def synth_ecg(
     n = int(round(duration * sampling_rate))
     period_s = 60.0 / heart_rate
     period_samples = sampling_rate * period_s
-    idx = np.arange(n)
     if abs(period_samples - round(period_samples)) < 1e-9:
         # integer modulo keeps cycles bit-identical
-        phase = (idx % int(round(period_samples))) / sampling_rate
+        phase = (np.arange(n) % int(round(period_samples))) / sampling_rate
     else:
-        phase = np.mod(idx / sampling_rate, period_s)
+        phase = np.mod(np.arange(n) / sampling_rate, period_s)
 
     samples = _beat_voltage(phase, period_s)
     if noise_amp > 0:
@@ -444,10 +443,12 @@ def load_csv(path, sampling_rate: float | None = None, channel: str = "csv") -> 
     if n_cols == 2:
         if len(times) < 2:
             raise MalformedRow(f"{path.name}: need at least 2 rows to infer the rate")
-        steps = np.diff(np.asarray(times))
-        h = steps[0]
-        if not (np.all(np.isfinite(steps)) and h > _MIN_STEP) or np.any(np.abs(steps - h) > 1e-6 * h):
-            raise NonUniformSampling(f"{path.name}: time steps are not uniform or too small to invert")
+        # a difference that overflows is infinite, which the check rejects
+        with np.errstate(over="ignore"):
+            steps = np.diff(np.asarray(times))
+            h = steps[0]
+            if not (np.all(np.isfinite(steps)) and h > _MIN_STEP) or np.any(np.abs(steps - h) > 1e-6 * h):
+                raise NonUniformSampling(f"{path.name}: time steps are not uniform or too small to invert")
         rate = 1.0 / h
     else:
         if sampling_rate is None or sampling_rate <= 0:

@@ -264,7 +264,7 @@ def test_09_statistical_reproduction():
     else:
         def signals_for(seed):
             config = cli.RunConfig(seed=seed, synth=True)
-            return cli._synth_corpus(config)
+            return {rid: load() for rid, load in cli._synth_corpus(config).items()}
 
         train_accs, test_accs = _table2_protocol(signals_for)
         median_ok = statistics.median(test_accs) >= 9 / 11

@@ -278,9 +278,19 @@ class TestRender:
             cli._load_images(config, ["999"])
 
 
+def _traced_peak(command, config) -> int:
+    tracemalloc.start()
+    try:
+        command(config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_ingest_and_render_hold_one_record_at_a_time(tmp_path):
     """Each command's traced peak over six records stays within one record's
-    samples of its peak over two: no command holds the whole corpus."""
+    samples of its peak over two, and a synthetic ingest's peak grows with
+    one record's length, not the corpus's: no command holds the whole corpus."""
     mv = record_io.synth_ecg_irregular(100.0, 360.0, seed=0).samples
     adu = np.rint(mv * 200.0).astype(np.int64)[:, None]
     header = "{rid} 1 360 {n}\n{rid}.dat 212 200 11 0 0 0 0 MLII\n"
@@ -293,14 +303,18 @@ def test_ingest_and_render_hold_one_record_at_a_time(tmp_path):
             (data / f"{rid}.dat").write_bytes(record_io.encode_format212(adu))
         config = cli.RunConfig(data_dir=str(data), output_dir=str(out))
         for command in (cli.cmd_ingest, cli.cmd_render):
-            tracemalloc.start()
-            try:
-                command(config)
-                peaks[command.__name__, count] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[command.__name__, count] = _traced_peak(command, config)
     for name in ("cmd_ingest", "cmd_render"):
         assert peaks[name, 6] - peaks[name, 2] < mv.nbytes, (name, peaks)
+
+    # a generator works in a few record-sized arrays; the corpus is 44 records
+    synth = {
+        seconds: _traced_peak(cli.cmd_ingest, cli.RunConfig(
+            output_dir=str(tmp_path / f"synth{seconds}"), synth=True, synth_duration_s=seconds,
+        ))
+        for seconds in (10.0, 100.0)
+    }
+    assert synth[100.0] - synth[10.0] < 4 * mv.nbytes, synth
 
 
 @pytest.fixture(scope="module")

@@ -128,6 +128,13 @@ class TestPeaks:
         # window is [90 - 18, 90); minimum sits at its left edge
         assert phase_space.detect_q_point(sig, 90) == 72
 
+    def test_q_point_window_past_record_start(self):
+        sig = make_signal(np.arange(100, 0, -1, dtype=float) * (np.arange(100) != 3), rate=10_000.0)
+        # a window longer than the 90 samples before R starts at 0, even one
+        # whose sample count overflows to infinity
+        for window_ms in (9.5, 1e3, 1e308):
+            assert phase_space.detect_q_point(sig, 90, window_ms) == 3
+
     def test_q_point_degenerate_r_zero(self):
         sig = make_signal([5.0, 1.0, 0.0], rate=360.0)
         assert phase_space.detect_q_point(sig, 0) == 0

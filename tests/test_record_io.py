@@ -289,6 +289,9 @@ class TestLoadCsv:
         "nan,0.0\nnan,0.1\n",
         # a positive step whose inverse, the rate, overflows
         "0,0.0\n5e-324,0.1\n1e-323,0.2\n",
+        # finite times whose difference, or whose steps' spread, overflows
+        "0,0.0\n1.7e308,0.1\n-1.7e308,0.2\n",
+        "0,0.0\n1e308,0.1\n0,0.2\n",
     ])
     def test_non_finite_time_step(self, tmp_path, text):
         p = tmp_path / "r.csv"
