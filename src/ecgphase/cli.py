@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import phase_space, pipeline, rasterizer, record_io
-from .errors import EcgPhaseError, MissingImage, NoRecords, NonFinite, TooShort
+from .errors import EcgPhaseError, MissingImage, NoRecords, NonFinite, ShapeMismatch, TooShort
 from .neuralnet import ModelConfig, init_weights, load_checkpoint, save_checkpoint
 from .phase_space import DerivativeScheme
 from .pipeline import DatasetSplit, TrainConfig
@@ -255,7 +255,12 @@ def cmd_render(config: RunConfig) -> int:
     skipped: dict[str, str] = {}
 
     for path in paths:
-        sig = Signal(**json.loads(path.with_suffix(".json").read_text()), samples=np.load(path))
+        meta = json.loads(path.with_suffix(".json").read_text())
+        named = meta.get("record_id")
+        if named != path.stem:
+            skipped[path.stem] = f"{path.stem}.json names record {named!r}"
+            continue
+        sig = Signal(**meta, samples=np.load(path))
         try:
             traj = phase_space.embed(sig, scheme)
             chord = phase_space.chord_for_signal(sig, traj, config.q_window_ms)
@@ -281,7 +286,11 @@ def _load_images(config: RunConfig, record_ids) -> dict[str, np.ndarray]:
         path = img_dir / f"{rid}.ppm"
         if not path.exists():
             raise MissingImage(f"no rendered image {path}; run render first")
-        images[rid] = rasterizer.read_ppm(path.read_bytes())
+        image = rasterizer.read_ppm(path.read_bytes())
+        size = rasterizer.IMAGE_SIZE
+        if image.shape != (size, size, 3):
+            raise ShapeMismatch(f"{path} is {image.shape[1]}x{image.shape[0]}, not {size}x{size}")
+        images[rid] = image
     return images
 
 

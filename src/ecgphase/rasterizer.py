@@ -5,10 +5,16 @@ Trajectories are drawn as 1-pixel black polylines on a white background
 Q-R chord, inside a viewport that holds every point, and a zoom/shear/flip
 affine augmentation produces training variety. PPM P6 is the canonical
 bit-exact interchange format.
+
+The segments are drawn with Bresenham's algorithm, whose pixels depend only
+on a segment's pixel delta. A table of every delta's pixel offsets, built
+once per process on first use, gives each segment's pixels, and a record's
+repeated segments (most of them, on a long record) are inked once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -21,6 +27,16 @@ from .phase_space import QRChord, Trajectory
 IMAGE_SIZE = 64
 WHITE = 255
 BLACK = 0
+_MAX_DELTA = IMAGE_SIZE - 1  # the largest pixel step along an axis
+_SPAN = 2 * _MAX_DELTA + 1  # pixel deltas per axis
+_SEGMENT_CHUNK = 4096  # segments inked at a time, which bounds the temporaries
+
+# a segment's uint32 sort key packs, from the top, its length (6 bits), the
+# row of its delta in the offset table (14 bits) and its start pixel (12 bits)
+_ROW_SHIFT = 12
+_LENGTH_SHIFT = 26
+_START_MASK = (1 << _ROW_SHIFT) - 1
+_ROW_MASK = (1 << (_LENGTH_SHIFT - _ROW_SHIFT)) - 1
 
 # magic, width, height, maxval, then the one whitespace byte before the payload
 _PPM_HEADER = re.compile(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s")
@@ -85,8 +101,8 @@ def _to_pixels(points: np.ndarray, viewport: Viewport) -> tuple[np.ndarray, np.n
 
     np.rint rounds half to even, as Python's round does. A point whose pixel
     falls outside the image (NaN included) raises ValueError. int16 holds
-    every value the drawing derives from a pixel: flat indices below 4096 and
-    Bresenham errors within +/- 4 * IMAGE_SIZE.
+    every value the drawing derives from a pixel: flat indices below 4096,
+    deltas within +/- 63 and offset-table rows below 127**2.
     """
     fx = (points[:, 0] - viewport.v_min) / (viewport.v_max - viewport.v_min)
     fy = (points[:, 1] - viewport.dv_min) / (viewport.dv_max - viewport.dv_min)
@@ -98,33 +114,65 @@ def _to_pixels(points: np.ndarray, viewport: Viewport) -> tuple[np.ndarray, np.n
     return x.astype(np.int16), y.astype(np.int16)
 
 
+@functools.cache
+def _segment_offsets() -> np.ndarray:
+    """Flat-index offsets of the pixels Bresenham inks from (0, 0), per delta.
+
+    Row (dy + _MAX_DELTA) * _SPAN + dx + _MAX_DELTA holds, for the segment to
+    pixel (dx, dy), the offset y * IMAGE_SIZE + x of each pixel in drawing
+    order, then the end pixel's again up to IMAGE_SIZE entries. Built on
+    first use, by stepping every delta at once; 2 MB as int16.
+    """
+    d = np.arange(-_MAX_DELTA, _MAX_DELTA + 1)
+    x1 = np.tile(d, _SPAN)
+    y1 = np.repeat(d, _SPAN)
+    dx = np.abs(x1)
+    dy = -np.abs(y1)
+    x = np.zeros_like(x1)
+    y = np.zeros_like(y1)
+    err = dx + dy
+    table = np.empty((_SPAN * _SPAN, IMAGE_SIZE), dtype=np.int16)
+    for k in range(IMAGE_SIZE):
+        table[:, k] = y * IMAGE_SIZE + x
+        live = (x != x1) | (y != y1)
+        e2 = 2 * err
+        go_x = live & (e2 >= dy)
+        go_y = live & (e2 <= dx)
+        err += dy * go_x + dx * go_y
+        x += np.sign(x1) * go_x
+        y += np.sign(y1) * go_y
+    table.flags.writeable = False  # every caller shares the one table
+    return table
+
+
 def _draw_segments(x0, y0, x1, y1) -> np.ndarray:
     """Bresenham (1965) on every segment at once; both end points are inked.
 
-    Returns the IMAGE_SIZE x IMAGE_SIZE mask of inked pixels. A pixel is
-    tracked by its flat index y * IMAGE_SIZE + x. Each pass inks the current
-    pixel of every segment, keeps only the segments that have not reached
-    their end and steps those.
+    Returns the IMAGE_SIZE x IMAGE_SIZE mask of inked pixels. A segment's
+    pixels are its start pixel's flat index y * IMAGE_SIZE + x plus the
+    offsets of its delta in `_segment_offsets`, and depend on nothing else.
+    So the segments are keyed by (length, delta row, start pixel), sorted,
+    and each distinct key is inked once, _SEGMENT_CHUNK at a time. A chunk
+    reads as many offsets as its longest segment has pixels.
     """
-    dx = np.abs(x1 - x0)
-    dy = -np.abs(y1 - y0)
-    step_x = np.sign(x1 - x0)  # an axis with no extent is never stepped
-    step_y = np.sign(y1 - y0) * IMAGE_SIZE
-    pos = y0 * IMAGE_SIZE + x0
-    end = y1 * IMAGE_SIZE + x1
-    err = dx + dy
+    dx = x1 - x0
+    dy = y1 - y0
+    length = np.maximum(np.abs(dx), np.abs(dy))
+    row = (dy + _MAX_DELTA) * _SPAN + dx + _MAX_DELTA
+    key = (
+        length.astype(np.uint32) << _LENGTH_SHIFT
+        | row.astype(np.uint32) << _ROW_SHIFT
+        | (y0 * IMAGE_SIZE + x0).astype(np.uint32)
+    )
+    key.sort()  # np.unique would sort a copy or hash, and is slower here
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    offsets = _segment_offsets()
     ink = np.zeros(IMAGE_SIZE * IMAGE_SIZE, dtype=bool)
-    while pos.size:
-        ink[pos] = True
-        live = pos != end
-        pos, end, dx, dy, step_x, step_y, err = (
-            a[live] for a in (pos, end, dx, dy, step_x, step_y, err)
-        )
-        e2 = 2 * err
-        go_x = e2 >= dy
-        go_y = e2 <= dx
-        err += dy * go_x + dx * go_y
-        pos += step_x * go_x + step_y * go_y
+    for i in range(0, key.size, _SEGMENT_CHUNK):
+        chunk = key[i : i + _SEGMENT_CHUNK]
+        steps = int(chunk[-1] >> _LENGTH_SHIFT) + 1  # the longest segment sorts last
+        row = chunk >> _ROW_SHIFT & _ROW_MASK
+        ink[(chunk & _START_MASK)[:, None] + offsets[row, :steps]] = True
     return ink.reshape(IMAGE_SIZE, IMAGE_SIZE)
 
 

@@ -266,7 +266,11 @@ def load_record(header_path, channel: str = "MLII") -> Signal:
     from pathlib import Path
 
     header_path = Path(header_path)
-    header = parse_header(header_path.read_text())
+    try:
+        text = header_path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedHeader(f"{header_path.name} is not UTF-8 text: {exc.reason}") from exc
+    header = parse_header(text)
     if header.record_id != header_path.stem:
         raise MalformedHeader(f"{header_path.name} names record {header.record_id!r}")
     raw = decode_format212(
@@ -398,6 +402,14 @@ def synth_ecg_irregular(
     )
 
 
+def _csv_rows(fh, path):
+    """csv.reader's rows of an open file; a byte that is not UTF-8 raises MalformedRow."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path.name} is not UTF-8 text: {exc.reason}") from exc
+
+
 def load_csv(path, sampling_rate: float | None = None, channel: str = "csv") -> Signal:
     """Read a signal from CSV.
 
@@ -412,8 +424,8 @@ def load_csv(path, sampling_rate: float | None = None, channel: str = "csv") -> 
     times: list[float] = []
     volts: list[float] = []
     n_cols = None
-    with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
+    with open(path, newline="", encoding="utf-8") as fh:
+        for i, row in enumerate(_csv_rows(fh, path)):
             row = [tok.strip() for tok in row if tok.strip() != ""]
             if not row:
                 continue

@@ -9,7 +9,7 @@ import pytest
 
 from ecgphase import cli, record_io
 from ecgphase.errors import MissingImage
-from ecgphase.rasterizer import read_ppm
+from ecgphase.rasterizer import read_ppm, write_ppm
 
 # sha256 of out/run_config.json as `render --output-dir out` writes it: every
 # default, the published split included
@@ -169,6 +169,20 @@ class TestIngest:
         skipped = json.loads((out / "signals" / "skipped.json").read_text())
         assert skipped == {"a": "a.hea names record '102'", "x": "x.hea names record '100'"}
 
+    def test_text_that_is_not_utf8_skips_only_that_record(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
+        write_disk_records(data, {"100": "MLII", "101": "MLII"})
+        hea = data / "100.hea"
+        hea.write_bytes(hea.read_bytes().replace(b"MLII", b"ML\xff"))
+        (data / "103.csv").write_bytes(b"0.1\n0.2\xe9\n0.3\n")
+        args = ["--data-dir", str(data), "--output-dir", str(out), "--csv-sampling-rate", "360"]
+        assert run(["ingest", *args]) == 0
+        assert [p.stem for p in (out / "signals").glob("*.npy")] == ["101"]
+        skipped = json.loads((out / "signals" / "skipped.json").read_text())
+        assert sorted(skipped) == ["100", "103"]
+        assert "100.hea is not UTF-8" in skipped["100"]
+        assert "103.csv is not UTF-8" in skipped["103"]
+
     def test_empty_directory_is_data_error(self, tmp_path):
         empty = tmp_path / "none"
         empty.mkdir()
@@ -254,6 +268,19 @@ class TestRender:
             assert run(["render", "--output-dir", str(out)]) == 0
             images.append((out / "images" / "100.ppm").read_bytes())
         assert images[0] == images[1]
+
+    def test_signal_named_for_another_record_lands_in_skip_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = cli.RunConfig(output_dir=str(out))
+        for rid in ("100", "101"):
+            cli._save_signal(config, record_io.synth_ecg(2.0, 360.0, record_id=rid))
+        meta = out / "signals" / "100.json"
+        meta.write_text(meta.read_text().replace('"100"', '"101"'))
+        assert run(["render", "--output-dir", str(out)]) == 0
+        assert "rendered 1 images, skipped 1" in capsys.readouterr().out
+        skipped = json.loads((out / "images" / "render_skipped.json").read_text())
+        assert skipped == {"100": "100.json names record '101'"}
+        assert sorted(p.name for p in (out / "images").glob("*.ppm")) == ["101.ppm"]
 
     def test_render_of_nothing_is_data_error(self, tmp_path):
         cfg, out = fast_config(tmp_path, "e")
@@ -380,6 +407,16 @@ class TestTrainEval:
             assert run(["eval", "--config", str(cfg)]) == cli.EXIT_DATA
         finally:
             ckpt.write_bytes(good)
+
+    def test_image_of_another_size_is_data_error(self, tmp_path, capsys):
+        cfg, out = fast_config(tmp_path, "small")
+        assert run(["synth", "--config", str(cfg)]) == 0
+        assert run(["render", "--config", str(cfg)]) == 0
+        small = out / "images" / "103.ppm"
+        small.write_bytes(write_ppm(np.zeros((32, 32, 3), dtype=np.uint8)))
+        assert run(["train", "--config", str(cfg)]) == cli.EXIT_DATA
+        assert f"{small} is 32x32, not 64x64" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
 
     def test_zero_epochs_reports_untrained_model(self, tmp_path):
         cfg, out = fast_config(tmp_path, "zero")

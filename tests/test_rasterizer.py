@@ -1,11 +1,12 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import pixel_of, rasterize_loop
+from oracles import draw_line, pixel_of, rasterize_loop
 
 from ecgphase import cli, phase_space, rasterizer, record_io
 from ecgphase.errors import MalformedPPM
@@ -135,6 +136,35 @@ class TestRasterize:
         qr = None if chord is None else phase_space.qr_chord(traj, chord[0] % n, chord[1] % n)
         vp = rasterizer.fit_viewport(traj, margin)
         assert np.array_equal(rasterizer.rasterize(traj, qr, vp), rasterize_loop(traj, qr, vp))
+
+    def test_every_delta_matches_scalar_bresenham(self):
+        rng = np.random.default_rng(3)
+        for dy in range(-63, 64):
+            for dx in range(-63, 64):
+                # an origin that keeps both end points inside the image
+                x0 = int(rng.integers(max(0, -dx), 64 - max(0, dx)))
+                y0 = int(rng.integers(max(0, -dy), 64 - max(0, dy)))
+                x, y = (np.array([v], dtype=np.int16) for v in (x0, y0))
+                mask = rasterizer._draw_segments(x, y, x + dx, y + dy)
+                expected = np.full((64, 64, 3), 255, dtype=np.uint8)
+                draw_line(expected, x0, y0, x0 + dx, y0 + dy)
+                assert np.array_equal(mask, expected[:, :, 0] == 0), (dx, dy, x0, y0)
+
+    def test_noisy_thirty_minute_record_peak_memory(self):
+        # uniform noise: nearly every segment is distinct, so none is dropped
+        adu = np.random.default_rng(1).integers(-500, 500, size=648_000)
+        sig = record_io.Signal("noise", "MLII", 360.0, record_io.to_millivolts(adu, 200.0, 0))
+        traj = phase_space.embed(sig)
+        chord = phase_space.chord_for_signal(sig, traj)
+        vp = rasterizer.fit_viewport(traj, 0.05)
+        rasterizer._segment_offsets()  # built once per process, not per call
+        tracemalloc.start()
+        try:
+            rasterizer.rasterize(traj, chord, vp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * traj.points.nbytes, (peak, traj.points.nbytes)
 
     def test_all_channels_equal(self):
         vp = Viewport(0.0, 1.0, 0.0, 1.0)
