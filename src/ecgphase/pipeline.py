@@ -26,7 +26,10 @@ from .rasterizer import AugmentParams, augment
 from .record_io import PUBLISHED_SPLIT, Label, load_labels
 
 DECISION_THRESHOLD = 0.5  # p >= threshold predicts unhealthy
-PREDICT_CHUNK = 16  # images per inference forward; GEMM bits can depend on the row count
+# images per inference forward. The dense GEMMs see the whole chunk, and
+# their bits can depend on its row count; the conv GEMMs see half chunks,
+# where a row split is exact (see neuralnet)
+PREDICT_CHUNK = 16
 
 
 @dataclass(frozen=True)

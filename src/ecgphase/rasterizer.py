@@ -187,12 +187,13 @@ def rasterize(trajectory: Trajectory, chord: QRChord | None, viewport: Viewport)
     """
     pts = trajectory.points
     start, end = (pts, pts) if len(pts) == 1 else (pts[:-1], pts[1:])
-    if chord is not None:
-        start = np.vstack([start, chord.q_point])
-        end = np.vstack([end, chord.r_point])
     x0, y0 = _to_pixels(start, viewport)
     # the end point as p0 + (p1 - p0), which may differ from p1 in the last bit
     x1, y1 = _to_pixels(start + (end - start), viewport)
+    if chord is not None:
+        q, r = np.array([chord.q_point]), np.array([chord.r_point])
+        chord_pixels = (*_to_pixels(q, viewport), *_to_pixels(q + (r - q), viewport))
+        x0, y0, x1, y1 = map(np.append, (x0, y0, x1, y1), chord_pixels)
     img = np.full((IMAGE_SIZE, IMAGE_SIZE, 3), WHITE, dtype=np.uint8)
     img[_draw_segments(x0, y0, x1, y1)] = BLACK
     return img

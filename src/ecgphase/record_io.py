@@ -306,10 +306,16 @@ R_PHASE = 0.400
 def _beat_voltage(phase: np.ndarray, period_s: float, bumps=ECG_BUMPS) -> np.ndarray:
     """Evaluate the bump template at phases in [0, period) seconds."""
     v = np.zeros_like(phase)
+    t = np.empty_like(phase)
     for center, width, amp in bumps:
-        c = center * period_s
-        s = width * period_s
-        v += amp * np.exp(-0.5 * ((phase - c) / s) ** 2)
+        # amp * exp(-0.5 * ((phase - c) / s) ** 2), step by step in one buffer
+        np.subtract(phase, center * period_s, out=t)
+        t /= width * period_s
+        np.square(t, out=t)
+        t *= -0.5
+        np.exp(t, out=t)
+        t *= amp
+        v += t
     return v
 
 
@@ -343,7 +349,7 @@ def synth_ecg(
     samples = _beat_voltage(phase, period_s)
     if noise_amp > 0:
         rng = np.random.default_rng(seed)
-        samples = samples + rng.uniform(-noise_amp, noise_amp, size=n)
+        samples += rng.uniform(-noise_amp, noise_amp, size=n)
 
     return Signal(
         record_id=record_id if record_id is not None else f"synth{seed}",
@@ -392,7 +398,7 @@ def synth_ecg_irregular(
         start += period
 
     if noise_amp > 0:
-        samples = samples + rng.uniform(-noise_amp, noise_amp, size=n)
+        samples += rng.uniform(-noise_amp, noise_amp, size=n)
 
     return Signal(
         record_id=record_id if record_id is not None else f"synth{seed}",

@@ -129,6 +129,61 @@ def max_gradient_error(model, x, y, eps=1e-4):
     return worst
 
 
+def _unpool(dout, arg):
+    """Scatter a 2x2 max pool's output gradient to its argmax corners."""
+    n, h, w, c = arg.shape
+    dx = np.empty((n, 2 * h, 2 * w, c))
+    for q, (row, col) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        np.multiply(dout, arg == q, out=dx[:, row::2, col::2, :])
+    return dx
+
+
+def _conv_grads(x, kernels, dout):
+    """(input, kernel, bias) gradients of a same-padded conv of the batch x."""
+    k, _, c_in, c_out = kernels.shape
+    n, h, w, _ = x.shape
+    p = (k - 1) // 2
+    dout2 = dout.reshape(-1, c_out)
+    cols = im2col_loop(np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))), k).reshape(-1, k * k * c_in)
+    dkernels = (cols.T @ dout2).reshape(kernels.shape)
+    dcols = (dout @ kernels.reshape(-1, c_out).T).reshape(n, h, w, k * k, c_in)
+    dpadded = np.zeros((n, h + 2 * p, w + 2 * p, c_in))
+    for i, (dy, dx) in enumerate(np.ndindex(k, k)):
+        dpadded[:, dy : dy + h, dx : dx + w, :] += dcols[:, :, :, i, :]
+    return dpadded[:, p : p + h, p : p + w, :], dkernels, dout2.sum(axis=0)
+
+
+def whole_batch_chain(model, x, labels):
+    """Forward and backward of the whole batch, one layer op at a time.
+
+    Returns (prob, cache fields by name, gradients by parameter name). Every
+    operation sees the whole batch, so `nn.forward_batch` and
+    `nn.backward_batch`, which split the conv layers' batch in two, must
+    match it bit for bit.
+    """
+    p1, arg1 = nn.maxpool_forward(nn.relu(nn.conv2d_forward(x, model.conv1)))
+    p2, arg2 = nn.maxpool_forward(nn.relu(nn.conv2d_forward(p1, model.conv2)))
+    flat = nn.flatten(p2)
+    ad = nn.relu(nn.dense_forward(flat, model.dense1))
+    prob = nn.sigmoid(nn.dense_forward(ad, model.dense_out)[:, 0])
+    cache = {"x": x, "pool1_arg": arg1, "p1": p1, "pool2_arg": arg2, "flat": flat, "ad": ad, "prob": prob}
+
+    dlogit = ((prob - labels) / labels.size)[:, None]
+    dzd = (dlogit @ model.dense_out.weights.T) * (ad > 0)
+    dflat = dzd @ model.dense1.weights.T
+    dz2 = _unpool((dflat * (flat > 0)).reshape(arg2.shape), arg2)
+    dp1, dk2, dbc2 = _conv_grads(p1, model.conv2.kernels, dz2)
+    dz1 = _unpool(dp1 * (p1 > 0), arg1)
+    _, dk1, dbc1 = _conv_grads(x, model.conv1.kernels, dz1)
+    grads = {
+        "conv1.kernels": dk1, "conv1.bias": dbc1,
+        "conv2.kernels": dk2, "conv2.bias": dbc2,
+        "dense1.weights": flat.T @ dzd, "dense1.bias": dzd.sum(axis=0),
+        "dense_out.weights": ad.T @ dlogit, "dense_out.bias": dlogit.sum(axis=0),
+    }
+    return prob, cache, grads
+
+
 def pixel_of(v, dv, viewport):
     """One data point's pixel (column, row) in a 64x64 image; Python's
     round() is half to even."""

@@ -2,7 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,7 @@ from oracles import (
     im2col_loop,
     max_gradient_error,
     maxpool_naive,
+    whole_batch_chain,
 )
 
 TINY = nn.ModelConfig(input_size=8, conv_filters=(2, 2), hidden_units=4)
@@ -301,6 +307,92 @@ class TestForward:
         model = nn.init_weights(TINY, seed=0)
         with pytest.raises(ShapeMismatch):
             nn.forward_batch(model, np.zeros((1, 16, 16, 3)))
+
+
+def split_and_whole_chain(config, n, with_nan):
+    """(got, want): the probabilities, cache fields and gradients of
+    `forward_batch` and `backward_batch`, and of the whole-batch chain of
+    layer ops, by name. Example 0 holds only ±0; with_nan puts a NaN in the
+    last example."""
+    model = nn.init_weights(config, seed=4)
+    side = config.input_size
+    rng = np.random.default_rng(n)
+    x = rng.uniform(0, 1, (n, side, side, 3))
+    x[0] = np.where(rng.uniform(size=x[0].shape) < 0.5, -0.0, 0.0)
+    if with_nan:
+        x[-1, side // 2, side // 3, 1] = np.nan
+    labels = (np.arange(n) % 2).astype(np.float64)
+
+    prob, cache = nn.forward_batch(model, x)
+    grads = nn.parameters(nn.backward_batch(model, cache, labels))
+    want_prob, want_cache, want_grads = whole_batch_chain(model, x, labels)
+    assert [f.name for f in dataclasses.fields(cache)] == list(want_cache)
+    got = {"prob": prob, **{f"cache.{k}": getattr(cache, k) for k in want_cache}, **grads}
+    want = {"prob": want_prob, **{f"cache.{k}": v for k, v in want_cache.items()}, **want_grads}
+    return got, want
+
+
+def split_digest():
+    """sha256 over the bytes `split_and_whole_chain` gives, both sides, for a
+    few batches of the paper model and TINY."""
+    h = hashlib.sha256()
+    for config in (nn.ModelConfig(), TINY):
+        for n in (3, 8, 11):
+            for side in split_and_whole_chain(config, n, with_nan=False):
+                for a in side.values():
+                    h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# a child that loads numpy before the package, so BLAS keeps its own thread
+# count; argv[1] is this directory
+DEFAULT_THREADS_CHILD = """
+import sys
+import numpy
+sys.path.insert(0, sys.argv[1])
+from test_neuralnet import split_digest
+print(split_digest())
+"""
+
+
+class TestBatchHalves:
+    """The conv layers run each half of a batch on its own thread; the bytes
+    must equal those of the whole-batch chain of layer ops."""
+
+    # TINY's conv GEMMs are small enough for OpenBLAS's small-matrix kernels,
+    # the paper model's are not
+    @pytest.mark.parametrize("config", [nn.ModelConfig(), TINY], ids=["paper", "tiny"])
+    @pytest.mark.parametrize("with_nan", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 11, 16])
+    def test_bit_identical_to_whole_batch_chain(self, config, n, with_nan):
+        # a NaN example makes every kernel gradient NaN, so the batch sums
+        # are checked without one too
+        got, want = split_and_whole_chain(config, n, with_nan)
+        for name, a in want.items():
+            b = got[name]
+            assert (b.dtype, b.shape, b.tobytes()) == (a.dtype, a.shape, a.tobytes()), (n, name)
+        assert np.isnan(got["prob"][-1]) == with_nan
+        assert np.isfinite(got["prob"][0]) == (n > 1 or not with_nan)
+
+    def test_bit_identical_at_default_blas_thread_count(self):
+        # this process runs one BLAS thread, the package's default; the child
+        # runs as many as BLAS picks itself (one per CPU)
+        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        child = subprocess.run(
+            [sys.executable, "-c", DEFAULT_THREADS_CHILD, str(Path(__file__).parent)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert child.stdout.strip() == split_digest()
+
+    def test_forked_child_makes_its_own_worker(self):
+        # a forked child inherits the executor but not its thread
+        model = nn.init_weights(TINY, seed=0)
+        x = np.random.default_rng(0).uniform(0, 1, (4, 8, 8, 3))
+        want, _ = nn.forward_batch(model, x)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got, _ = pool.apply_async(nn.forward_batch, (model, x)).get(timeout=60)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBackward:

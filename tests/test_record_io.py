@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,6 +238,31 @@ class TestSynthEcg:
         clean = record_io.synth_ecg(1.0, 360.0, 60.0, noise_amp=0.0, seed=5)
         noisy = record_io.synth_ecg(1.0, 360.0, 60.0, noise_amp=0.05, seed=5)
         assert np.max(np.abs(noisy.samples - clean.samples)) <= 0.05
+
+    @pytest.mark.parametrize("period_s", [0.25, 60.0 / 72.0, 1.2])
+    def test_beat_voltage_bytes_match_one_expression(self, period_s):
+        phase = np.concatenate([
+            np.random.default_rng(9).uniform(-period_s, 2 * period_s, 5000),
+            np.arange(0, period_s, 1 / 360.0),
+        ])
+        expected = np.zeros_like(phase)
+        for center, width, amp in record_io.ECG_BUMPS:
+            c, s = center * period_s, width * period_s
+            expected += amp * np.exp(-0.5 * ((phase - c) / s) ** 2)
+        assert record_io._beat_voltage(phase, period_s).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("noise_amp", [0.0, 0.02])
+    def test_peak_memory_of_a_long_record(self, noise_amp):
+        # the phases, the sum and one scratch buffer (or the noise) are the
+        # only record-sized arrays alive at once
+        record_io.synth_ecg(1.0, 360.0, noise_amp=noise_amp)  # warm imports
+        tracemalloc.start()
+        try:
+            sig = record_io.synth_ecg(100.0, 360.0, noise_amp=noise_amp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.05 * sig.samples.nbytes, (peak, sig.samples.nbytes)
 
     def test_heart_rate_bounds(self):
         with pytest.raises(ValueError):
