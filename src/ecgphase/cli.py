@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import sys
+import tokenize
 import typing
 from dataclasses import dataclass, field
 from functools import partial
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import phase_space, pipeline, rasterizer, record_io
-from .errors import EcgPhaseError, MissingImage, NoRecords, NonFinite, ShapeMismatch, TooShort
+from .errors import EcgPhaseError, MalformedCache, MissingImage, NoRecords, NonFinite, ShapeMismatch, TooShort
 from .neuralnet import ModelConfig, init_weights, load_checkpoint, save_checkpoint
 from .phase_space import DerivativeScheme
 from .pipeline import DatasetSplit, TrainConfig
@@ -134,7 +135,10 @@ def load_config(path, overrides: dict) -> RunConfig:
     values: dict = {}
     if path:
         with open(path) as fh:
-            values = json.load(fh)
+            try:
+                values = json.load(fh)
+            except RecursionError as exc:
+                raise ValueError(f"config file {path} nests too deeply") from exc
         if not isinstance(values, dict):
             raise ValueError(f"config file {path} holds a JSON {type(values).__name__}, not an object")
         # a run_config.json names its command, which argv gives on a replay
@@ -175,6 +179,37 @@ def _save_signal(config: RunConfig, signal: Signal) -> None:
             "sampling_rate": signal.sampling_rate,
         },
     )
+
+
+def _load_signal(npy: Path) -> Signal:
+    """The cached signal of record `npy.stem`, from its .npy and .json files.
+
+    Raises MalformedCache unless the .npy holds a non-empty 1-D float array
+    and the .json an object of exactly `record_id` (the stem), `channel` and
+    `sampling_rate` (a positive number).
+    """
+    meta_path = npy.with_suffix(".json")
+    try:
+        samples = np.load(npy, allow_pickle=False)
+    except (OSError, EOFError, ValueError, MemoryError, tokenize.TokenError) as exc:
+        # a header that claims more samples than memory holds raises
+        # MemoryError, and numpy's header parser can let TokenError out
+        raise MalformedCache(f"unreadable {npy.name}: {exc}") from exc
+    try:
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        raise MalformedCache(f"unreadable {meta_path.name}: {exc}") from exc
+    if samples.ndim != 1 or samples.dtype.kind != "f" or not samples.size:
+        raise MalformedCache(f"{npy.name} holds {samples.dtype} {samples.shape}, not 1-D float samples")
+    if not isinstance(meta, dict) or set(meta) != {"record_id", "channel", "sampling_rate"}:
+        raise MalformedCache(f"{meta_path.name} is not an object of record_id, channel and sampling_rate")
+    if meta["record_id"] != npy.stem:
+        raise MalformedCache(f"{meta_path.name} names record {meta['record_id']!r}")
+    rate = meta["sampling_rate"]
+    # NaN fails both comparisons; an int too large for a float fails the second
+    if type(rate) not in (int, float) or not 0 < rate <= sys.float_info.max:
+        raise MalformedCache(f"{meta_path.name} gives sampling rate {rate!r}, not a positive number")
+    return Signal(**meta, samples=samples)
 
 
 def _synth_corpus(config: RunConfig) -> dict[str, typing.Callable[[], Signal]]:
@@ -255,21 +290,16 @@ def cmd_render(config: RunConfig) -> int:
     skipped: dict[str, str] = {}
 
     for path in paths:
-        meta = json.loads(path.with_suffix(".json").read_text())
-        named = meta.get("record_id")
-        if named != path.stem:
-            skipped[path.stem] = f"{path.stem}.json names record {named!r}"
-            continue
-        sig = Signal(**meta, samples=np.load(path))
         try:
+            sig = _load_signal(path)
             traj = phase_space.embed(sig, scheme)
             chord = phase_space.chord_for_signal(sig, traj, config.q_window_ms)
             viewport = rasterizer.fit_viewport(traj, config.viewport_margin)
             image = rasterizer.rasterize(traj, chord, viewport)
-        except (TooShort, NonFinite) as exc:
-            skipped[sig.record_id] = str(exc)
+        except (MalformedCache, TooShort, NonFinite) as exc:
+            skipped[path.stem] = str(exc)
             continue
-        (img_dir / f"{sig.record_id}.ppm").write_bytes(rasterizer.write_ppm(image))
+        (img_dir / f"{path.stem}.ppm").write_bytes(rasterizer.write_ppm(image))
 
     _write_json(img_dir / "render_skipped.json", skipped)
     rendered = len(paths) - len(skipped)

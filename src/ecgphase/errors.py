@@ -40,25 +40,22 @@ class MalformedRow(EcgPhaseError, ValueError):
 
 
 class NonFinite(EcgPhaseError, ValueError):
-    """Signal samples or trajectory coordinates hold NaN or infinity."""
+    """Signal samples or trajectory coordinates hold NaN or infinity, or a
+    trajectory's extent overflows."""
 
 
 class NoRecords(EcgPhaseError, ValueError):
     """Ingest or render produced no record."""
 
 
+class MalformedCache(EcgPhaseError, ValueError):
+    """Cached signal pair unreadable or unlike what ingest writes."""
+
+
 # --- phase space ---
 
 class TooShort(EcgPhaseError, ValueError):
     """Signal shorter than the derivative scheme minimum."""
-
-
-class EmptyTrajectory(EcgPhaseError, ValueError):
-    """Trajectory with no points."""
-
-
-class IndexOutOfRange(EcgPhaseError, IndexError):
-    """Chord endpoint index beyond the trajectory length."""
 
 
 # --- raster images ---
@@ -77,10 +74,6 @@ class OddDimension(EcgPhaseError, ValueError):
     """Max-pool input with odd height or width."""
 
 
-class MissingCache(EcgPhaseError, ValueError):
-    """Backward pass called without a forward cache."""
-
-
 class CorruptCheckpoint(EcgPhaseError, ValueError):
     """Checkpoint file unreadable or inconsistent."""
 
@@ -93,11 +86,3 @@ class MissingImage(EcgPhaseError, KeyError):
 
 class LabelMismatch(EcgPhaseError, KeyError):
     """Split references a record absent from the label table."""
-
-
-class EmptyTrainSet(EcgPhaseError, ValueError):
-    """Training requires at least one example."""
-
-
-class EmptySet(EcgPhaseError, ValueError):
-    """Evaluation requires at least one example."""

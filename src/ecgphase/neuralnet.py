@@ -30,12 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CorruptCheckpoint,
-    MissingCache,
-    OddDimension,
-    ShapeMismatch,
-)
+from .errors import CorruptCheckpoint, OddDimension, ShapeMismatch
 
 _SIGMOID_HI = float(np.nextafter(1.0, 0.0))
 _SIGMOID_LO = float(np.nextafter(0.0, 1.0))
@@ -329,9 +324,7 @@ def forward_batch(model: Model, images: np.ndarray) -> tuple[np.ndarray, Forward
 
 def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Model:
     """Mean-loss gradients for a batch, shaped as the model, using the fused
-    sigmoid+BCE output grad."""
-    if cache is None:
-        raise MissingCache("run forward before backward")
+    sigmoid+BCE output grad; `cache` is the batch's `forward_batch` cache."""
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     n = y.size
     if cache.prob.shape[0] != n:
@@ -466,7 +459,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         config = ModelConfig(**cfg_dict)
         shapes = _parameter_shapes(config)
         listed = [(spec["name"], tuple(spec["shape"])) for spec in header["tensors"]]
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CorruptCheckpoint(f"{path}: malformed header ({exc})") from exc
     if listed != list(shapes.items()):
         raise CorruptCheckpoint(

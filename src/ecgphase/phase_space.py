@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyTrajectory, IndexOutOfRange, NonFinite, TooShort
+from .errors import NonFinite, TooShort
 from .record_io import Signal
 
 
@@ -28,17 +28,13 @@ class DerivativeScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered (v mV, dv mV/s) points; stored as an (n, 2) float array."""
+    """Ordered (v mV, dv mV/s) points: a non-empty (n, 2) float array, as `embed` builds it."""
 
     record_id: str
     points: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError(f"points must be (n, 2), got {pts.shape}")
-        if pts.shape[0] == 0:
-            raise EmptyTrajectory(f"record {self.record_id!r} produced no points")
         if not np.all(np.isfinite(pts)):
             raise NonFinite(f"record {self.record_id!r} has non-finite coordinates")
         object.__setattr__(self, "points", pts)
@@ -109,10 +105,8 @@ def detect_q_point(signal: Signal, r_index: int, window_ms: float = 50.0) -> int
 
     The window is [r_index - w, r_index) with w = round(window_ms/1000 * fs),
     clamped to at least one sample and to the start of the record. An R peak
-    at index 0 degenerates to 0.
+    at index 0 degenerates to 0. Needs 0 <= r_index < len(signal).
     """
-    if not 0 <= r_index < len(signal):
-        raise IndexOutOfRange(f"r_index {r_index} outside signal of {len(signal)}")
     if r_index == 0:
         return 0
     # clamped before int(), where it may overflow; a longer window reads from 0 too
@@ -122,12 +116,8 @@ def detect_q_point(signal: Signal, r_index: int, window_ms: float = 50.0) -> int
 
 
 def qr_chord(trajectory: Trajectory, q_index: int, r_index: int) -> QRChord:
-    """Chord between two trajectory points, Q first."""
-    n = len(trajectory)
-    if not (0 <= q_index < n and 0 <= r_index < n):
-        raise IndexOutOfRange(
-            f"indices ({q_index}, {r_index}) outside trajectory of {n} points"
-        )
+    """Chord between two trajectory points, Q first; both indices in
+    [0, len(trajectory))."""
     return QRChord(
         q_point=tuple(trajectory.points[q_index]),
         r_point=tuple(trajectory.points[r_index]),

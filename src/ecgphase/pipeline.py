@@ -15,12 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptySet,
-    EmptyTrainSet,
-    LabelMismatch,
-    MissingImage,
-)
+from .errors import LabelMismatch
 from .neuralnet import Model, backward_batch, bce_loss, forward_batch, sgd_step
 from .rasterizer import AugmentParams, augment
 from .record_io import PUBLISHED_SPLIT, Label, load_labels
@@ -144,10 +139,11 @@ def build_dataset(
     labels: dict[str, Label],
     split: DatasetSplit,
 ) -> tuple[list[LabeledImage], list[LabeledImage]]:
-    """Assemble (train, test) labeled-image lists for the split.
+    """Assemble (train, test) labeled-image lists for the split; `images`
+    holds every split record.
 
     Raises LabelMismatch when a split record is missing from the label table
-    or carries a different label there, MissingImage when no image exists.
+    or carries a different label there.
     """
     def lookup(pairs) -> list[LabeledImage]:
         out = []
@@ -159,8 +155,6 @@ def build_dataset(
                     f"record {rid!r}: split says {Label(label).name}, "
                     f"table says {labels[rid].name}"
                 )
-            if rid not in images:
-                raise MissingImage(f"no image for record {rid!r}")
             out.append(LabeledImage(record_id=rid, image=images[rid], label=label))
         return out
 
@@ -192,10 +186,8 @@ def train(
     update. Train metrics come from the augmented training batches (before
     each update); test metrics from the clean test images. `rng` draws every
     shuffle and augmentation, so the result is fixed by its state.
+    `train_set` is non-empty.
     """
-    if not train_set:
-        raise EmptyTrainSet("training set is empty")
-
     train_labels = np.array([float(ex.label) for ex in train_set])
     test_inputs = None
     test_labels = None
@@ -248,9 +240,8 @@ def train(
 
 
 def evaluate(model: Model, labeled_set: list[LabeledImage]) -> EvalReport:
-    """Per-record probabilities, predictions, confusion counts, accuracies."""
-    if not labeled_set:
-        raise EmptySet("evaluation set is empty")
+    """Per-record probabilities, predictions, confusion counts, accuracies
+    of a non-empty set."""
     ordered = sorted(labeled_set, key=lambda ex: ex.record_id)
     inputs = np.stack([_to_input(ex.image) for ex in ordered])
     probs = _predict_probs(model, inputs)

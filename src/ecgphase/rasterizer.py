@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedPPM
+from .errors import MalformedPPM, NonFinite
 from .phase_space import QRChord, Trajectory
 
 IMAGE_SIZE = 64
@@ -77,6 +77,7 @@ def fit_viewport(trajectory: Trajectory, margin: float = 0.05) -> Viewport:
     A zero-extent axis (constant signal or constant derivative) is widened
     to +/- 0.5 units so the viewport stays valid, or by one unit in the last
     place where that is larger (|v| >= 2**52), since 0.5 would round away.
+    Raises NonFinite when an axis's widened extent overflows a float.
     """
     if margin < 0:
         raise ValueError(f"margin must be >= 0, got {margin}")
@@ -92,6 +93,8 @@ def fit_viewport(trajectory: Trajectory, margin: float = 0.05) -> Viewport:
         else:
             pad = margin * (hi - lo)
             lo, hi = lo - pad, hi + pad
+        if not math.isfinite(hi - lo):
+            raise NonFinite(f"record {trajectory.record_id!r} spans more than a float holds")
         lims.append((lo, hi))
     return Viewport(lims[0][0], lims[0][1], lims[1][0], lims[1][1])
 

@@ -1,13 +1,20 @@
 import dataclasses
 import hashlib
+import io
 import json
 import re
+import shutil
+import tempfile
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from ecgphase import cli, record_io
+from ecgphase import cli, neuralnet, record_io
 from ecgphase.errors import MissingImage
 from ecgphase.rasterizer import read_ppm, write_ppm
 
@@ -32,6 +39,12 @@ def fast_config(tmp_path, name, seed=0):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(cfg))
     return path, tmp_path / name
+
+
+def npy_bytes(array, allow_pickle=False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
 
 
 def write_disk_records(data, first_channels, n_samples=40):
@@ -282,6 +295,43 @@ class TestRender:
         assert skipped == {"100": "100.json names record '101'"}
         assert sorted(p.name for p in (out / "images").glob("*.ppm")) == ["101.ppm"]
 
+    @pytest.mark.parametrize("suffix, bad", [
+        pytest.param(".npy", lambda good: good[: len(good) // 2], id="npy-truncated"),
+        pytest.param(".npy", lambda good: npy_bytes(np.zeros(0)), id="npy-no-samples"),
+        pytest.param(".npy", lambda good: npy_bytes(np.zeros((8, 2))), id="npy-2d"),
+        pytest.param(".npy", lambda good: npy_bytes(np.array(["1.0", "2.0"])), id="npy-strings"),
+        pytest.param(".npy", lambda good: npy_bytes(np.array([1.0, None]), allow_pickle=True), id="npy-pickled"),
+        pytest.param(".npy", lambda good: good.replace(b"(720,)", b"(720000000000000,)"), id="npy-shape-past-end"),
+        pytest.param(".json", lambda good: b"{not json", id="json-not-json"),
+        pytest.param(".json", lambda good: good.replace(b"MLII", b"ML\xffI"), id="json-not-utf8"),
+        pytest.param(".json", lambda good: b"[]", id="json-list"),
+        pytest.param(".json", lambda good: good.replace(b'"channel": "MLII",', b""), id="json-missing-key"),
+        pytest.param(".json", lambda good: good.replace(b'"channel"', b'"extra": 1, "channel"'), id="json-extra-key"),
+        pytest.param(".json", lambda good: good.replace(b"360.0", b"0"), id="json-rate-0"),
+        pytest.param(".json", lambda good: good.replace(b"360.0", b"-5"), id="json-rate-negative"),
+        pytest.param(".json", lambda good: good.replace(b"360.0", b'"x"'), id="json-rate-string"),
+        pytest.param(".json", lambda good: good.replace(b"360.0", b"null"), id="json-rate-null"),
+        pytest.param(".json", lambda good: good.replace(b"360.0", b"NaN"), id="json-rate-nan"),
+        pytest.param(".json", lambda good: good.replace(b"360.0", b"1" + b"0" * 400), id="json-rate-huge-int"),
+        pytest.param(".json", lambda good: b"[" * 100_000, id="json-nested-too-deep"),
+        pytest.param(".json", None, id="json-missing"),
+    ])
+    def test_bad_cache_pair_lands_in_skip_report(self, tmp_path, capsys, suffix, bad):
+        out = tmp_path / "out"
+        config = cli.RunConfig(output_dir=str(out))
+        for rid in ("100", "101"):
+            cli._save_signal(config, record_io.synth_ecg(2.0, 360.0, record_id=rid))
+        path = out / "signals" / f"100{suffix}"
+        if bad is None:
+            path.unlink()
+        else:
+            path.write_bytes(bad(path.read_bytes()))
+        assert run(["render", "--output-dir", str(out)]) == 0
+        assert "rendered 1 images, skipped 1" in capsys.readouterr().out
+        skipped = json.loads((out / "images" / "render_skipped.json").read_text())
+        assert list(skipped) == ["100"] and f"100{suffix}" in skipped["100"]
+        assert sorted(p.name for p in (out / "images").glob("*.ppm")) == ["101.ppm"]
+
     def test_render_of_nothing_is_data_error(self, tmp_path):
         cfg, out = fast_config(tmp_path, "e")
         # one sample per record: too short for any derivative scheme
@@ -408,6 +458,19 @@ class TestTrainEval:
         finally:
             ckpt.write_bytes(good)
 
+    def test_checkpoint_of_another_model_config_is_data_error(self, trained, capsys):
+        cfg, out = trained
+        ckpt = out / "model.ckpt"
+        good = ckpt.read_bytes()
+        small = neuralnet.ModelConfig(input_size=8, conv_filters=(2, 2), hidden_units=4)
+        try:
+            neuralnet.save_checkpoint(neuralnet.init_weights(small), ckpt)
+            assert run(["eval", "--config", str(cfg)]) == cli.EXIT_DATA
+        finally:
+            ckpt.write_bytes(good)
+        # forward_batch's shape check, the guard kept for this path
+        assert "expected (n, 8, 8, 3), got (11, 64, 64, 3)" in capsys.readouterr().err
+
     def test_image_of_another_size_is_data_error(self, tmp_path, capsys):
         cfg, out = fast_config(tmp_path, "small")
         assert run(["synth", "--config", str(cfg)]) == 0
@@ -513,6 +576,7 @@ class TestUsage:
         ("train", '{"split": {"train_healthy": ["101", "101"], "train_unhealthy": ["106"], '
                   '"test_healthy": ["103"], "test_unhealthy": ["100"]}}'),
         ("train", '[]'),
+        ("train", "[" * 100_000),
         ("train", '"abc"'),
         ("ingest", '{"no_such_option": 1}'),
         ("run-all", '{"synth": true, "split": {"train_healthy": ["101", "106"], '
@@ -564,3 +628,77 @@ class TestUsage:
         run(["ingest", "--config", str(cfg), "--seed", "9"])
         resolved = json.loads((out / "run_config.json").read_text())
         assert resolved["seed"] == 9
+
+
+# input kind -> the file under the fuzz tree, and the stage that reads it
+FUZZ_KINDS = {
+    "hea": "data/100.hea", "dat": "data/100.dat", "csv": "data/101.csv",
+    "npy": "render/signals/100.npy", "json": "render/signals/100.json", "config": "config.json",
+    "ppm": "eval/images/103.ppm", "ckpt": "eval/model.ckpt",
+}
+
+
+def fuzz_argv(kind: str, root: Path) -> list[str]:
+    if kind in ("hea", "dat", "csv"):
+        return ["ingest", "--data-dir", str(root / "data"), "--output-dir", str(root / "ingest")]
+    if kind in ("ppm", "ckpt"):
+        return ["eval", "--records", "103", "--output-dir", str(root / "eval")]
+    return ["render", "--output-dir", str(root / "render")] + (
+        ["--config", str(root / "config.json")] if kind == "config" else []
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_tree(tmp_path_factory):
+    """A tiny copy of every input kind a stage reads, under one output
+    directory per stage, each stage run once on it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    write_disk_records(root / "data", {"100": "MLII"})
+    rows = (f"{i / 360.0},{v}" for i, v in enumerate(np.sin(np.arange(40) / 5.0)))
+    (root / "data" / "101.csv").write_text("time_s,voltage_mV\n" + "\n".join(rows) + "\n")
+    (root / "config.json").write_text(json.dumps({"q_window_ms": 50.0, "viewport_margin": 0.05}))
+    render_config = cli.RunConfig(output_dir=str(root / "render"))
+    for rid in ("100", "101"):
+        cli._save_signal(render_config, record_io.synth_ecg(1.0, 360.0, record_id=rid))
+    eval_config = cli.RunConfig(output_dir=str(root / "eval"))
+    cli._save_signal(eval_config, record_io.synth_ecg(1.0, 360.0, record_id="103"))
+    assert run(["render", "--output-dir", eval_config.output_dir]) == cli.EXIT_OK
+    # a paper-sized input with few weights keeps the checkpoint small
+    small = neuralnet.ModelConfig(conv_filters=(2, 2), hidden_units=2)
+    neuralnet.save_checkpoint(neuralnet.init_weights(small), eval_config.checkpoint_path())
+    for kind in FUZZ_KINDS:
+        assert run(fuzz_argv(kind, root)) == cli.EXIT_OK, kind
+    return root
+
+
+@st.composite
+def mutations(draw, good: bytes) -> bytes:
+    """Random bytes, a truncation, or a few bit flips of `good`."""
+    how = draw(st.sampled_from(["random", "truncate", "flip"]))
+    if how == "random":
+        return draw(st.binary(max_size=256))
+    if how == "truncate":
+        return good[: draw(st.integers(0, len(good) - 1))]
+    bad = bytearray(good)
+    for i, bit in draw(st.lists(st.tuples(st.integers(0, len(good) - 1), st.integers(0, 7)), min_size=1, max_size=4)):
+        bad[i] ^= 1 << bit
+    return bytes(bad)
+
+
+@pytest.mark.parametrize("kind", FUZZ_KINDS)
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_bad_input_file_never_exits_internal_error(fuzz_tree, kind, data):
+    """Random, truncated or bit-flipped bytes in any one input file make its
+    stage succeed or exit 1 or 2, never 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "tree"
+        shutil.copytree(fuzz_tree, root)
+        path = root / FUZZ_KINDS[kind]
+        path.write_bytes(data.draw(mutations(path.read_bytes())))
+        # numpy's overflow warnings do not stop the command; here they would
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = run(fuzz_argv(kind, root))
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA)

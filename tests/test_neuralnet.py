@@ -16,12 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ecgphase import neuralnet as nn
-from ecgphase.errors import (
-    CorruptCheckpoint,
-    MissingCache,
-    OddDimension,
-    ShapeMismatch,
-)
+from ecgphase.errors import CorruptCheckpoint, OddDimension, ShapeMismatch
 from oracles import (
     PARAM_TENSORS,
     conv2d_naive,
@@ -403,11 +398,6 @@ class TestBackward:
         grads = nn.backward_batch(model, cache, np.array([1.0]))
         assert grads.dense_out.bias[0] == pytest.approx(p[0] - 1.0)  # = -0.5
 
-    def test_missing_cache(self):
-        model = zero_model()
-        with pytest.raises(MissingCache):
-            nn.backward_batch(model, None, np.array([1.0]))
-
     def test_finite_difference_check(self):
         for seed in range(3):
             model = nn.init_weights(TINY, seed=seed)
@@ -536,6 +526,13 @@ class TestCheckpoint:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"not a checkpoint at all")
+        with pytest.raises(CorruptCheckpoint):
+            nn.load_checkpoint(path)
+
+    def test_header_nested_past_recursion_limit(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        header = b"[" * 100_000
+        path.write_bytes(nn._CKPT_MAGIC + struct.pack("<II", nn._CKPT_VERSION, len(header)) + header)
         with pytest.raises(CorruptCheckpoint):
             nn.load_checkpoint(path)
 

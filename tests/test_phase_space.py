@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ecgphase import phase_space, record_io
-from ecgphase.errors import IndexOutOfRange, TooShort
+from ecgphase.errors import TooShort
 from ecgphase.phase_space import DerivativeScheme
 
 
@@ -146,13 +146,6 @@ class TestChord:
         chord = phase_space.qr_chord(traj, 3, 4)
         assert chord.q_point == tuple(traj.points[3])
         assert chord.r_point == tuple(traj.points[4])
-
-    def test_out_of_range(self):
-        traj = phase_space.embed(make_signal(np.sin(np.arange(10))))
-        with pytest.raises(IndexOutOfRange):
-            phase_space.qr_chord(traj, 0, len(traj))
-        with pytest.raises(IndexOutOfRange):
-            phase_space.qr_chord(traj, -1, 2)
 
     def test_synth_chord_r_is_max_v(self):
         sig = record_io.synth_ecg(2.0, 360.0, heart_rate=60.0, noise_amp=0.0)

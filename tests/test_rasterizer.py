@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 from oracles import draw_line, pixel_of, rasterize_loop
 
 from ecgphase import cli, phase_space, rasterizer, record_io
-from ecgphase.errors import MalformedPPM
+from ecgphase.errors import MalformedPPM, NonFinite
 from ecgphase.phase_space import QRChord, Trajectory
 from ecgphase.rasterizer import AugmentParams, Viewport
 
@@ -52,6 +52,14 @@ class TestViewport:
     def test_degenerate_point(self):
         vp = rasterizer.fit_viewport(traj_of([[3, 3], [3, 3]]), margin=0.05)
         assert (vp.v_min, vp.v_max, vp.dv_min, vp.dv_max) == (2.5, 3.5, 2.5, 3.5)
+
+    @pytest.mark.parametrize("points, margin", [
+        ([[0, -1e308], [1, 1e308]], 0.0),  # the extent itself overflows
+        ([[0, 0], [1, 1e308]], 1.0),  # the margin makes it overflow
+    ])
+    def test_extent_past_float_range_is_non_finite(self, points, margin):
+        with pytest.raises(NonFinite, match="spans more than a float holds"):
+            rasterizer.fit_viewport(traj_of(points), margin)
 
     def test_invalid_viewport_rejected(self):
         with pytest.raises(ValueError):
