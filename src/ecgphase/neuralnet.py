@@ -6,15 +6,23 @@ binary cross-entropy and the plain gradient-descent update
 w <- w - alpha * dL/dw.
 
 `forward_batch` chains the public layer ops, each on a batched (n, h, w, c)
-stack; convolutions run as im2col matrix products. The conv layers treat
-each example on its own, so `forward_batch` and `backward_batch` run them
-on the two halves of a batch at once, the first half on a worker thread
-(the data-parallel convolutions of Krizhevsky, arXiv:1404.5997). A conv
-GEMM row does not depend on how many rows its call has, so the split keeps
-every bit. The dense GEMMs and the conv kernel-gradient GEMMs keep the
-whole batch: a dense GEMM's bits can depend on its row count, and a kernel
-gradient sums over the batch. All math is float64 so the finite-difference
-gradient checks are meaningful.
+stack; convolutions run as im2col matrix products. Each step of training
+splits its work between the calling thread and one worker, the data- and
+model-parallel halves of Krizhevsky's "One weird trick" (arXiv:1404.5997):
+
+- the conv layers and their input gradients by batch halves: each example's
+  values come from GEMM rows of its own, and a conv GEMM row does not depend
+  on how many rows its call has;
+- dense1's forward by hidden-unit columns, its input gradient by feature
+  rows of its weights, and its weight gradient by feature rows again; each
+  conv kernel gradient, which sums over the batch, by patch rows dy. None of
+  these splits the axis a GEMM sums over, so each output element is the
+  same dot product, summed in the same order where OpenBLAS picks the same
+  kernel for the part as for the whole (see `_gemm_mid`);
+- the SGD update by rows of each tensor, as it is elementwise.
+
+So every bit is that of the whole-batch chain of layer ops. All math is
+float64 so the finite-difference gradient checks are meaningful.
 """
 
 from __future__ import annotations
@@ -140,35 +148,30 @@ class ForwardCache:
     prob: np.ndarray
 
 
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """Patch matrix of a batch, zero-padded to keep its size: (n, h, w, k*k*c),
-    dy/dx/c order.
+def _patches(x: np.ndarray, k: int) -> np.ndarray:
+    """Every patch of a batch, zero-padded to keep its size, as a read-only
+    (n, h, w, k, k*c) view: patch row dy on axis 3, dx/c order along axis 4.
 
     In the C-contiguous padded batch, patch row dy of output pixel (y, x) is
     the k*c consecutive values of padded row y+dy starting at column x, so
-    one strided view holds every patch and a single copy lays them out.
-    (np.pad would keep a Fortran-ordered input's layout, so the padded batch
-    is built here.)
+    one strided view holds every patch. (np.pad would keep a Fortran-ordered
+    input's layout, so the padded batch is built here.)
     """
     n, h, w, c = x.shape
     p = (k - 1) // 2
     padded = np.zeros((n, h + 2 * p, w + 2 * p, c))
     padded[:, p : p + h, p : p + w, :] = x
     sn, sy, sx, sc = padded.strides
-    patches = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         padded, shape=(n, h, w, k, k * c), strides=(sn, sy, sx, sy, sc), writeable=False
     )
-    return patches.reshape(n, h, w, k * k * c)
 
 
-def _conv_param_grads(
-    x: np.ndarray, layer: ConvLayer, dout: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    k, _, c_in, c_out = layer.kernels.shape
-    dout2 = dout.reshape(-1, c_out)
-    cols = _im2col(x, k).reshape(-1, k * k * c_in)
-    dkernels = (cols.T @ dout2).reshape(layer.kernels.shape)
-    return dkernels, dout2.sum(axis=0)
+def _im2col(x: np.ndarray, k: int) -> np.ndarray:
+    """Patch matrix of a batch: (n, h, w, k*k*c), dy/dx/c order, laid out by
+    a single copy of `_patches`."""
+    n, h, w, c = x.shape
+    return _patches(x, k).reshape(n, h, w, k * k * c)
 
 
 def _conv_input_grad(layer: ConvLayer, dout: np.ndarray, in_shape: tuple) -> np.ndarray:
@@ -213,15 +216,38 @@ def _in_parallel(first: typing.Callable, second: typing.Callable) -> tuple:
     return future.result(), second_result
 
 
-def _halves(fn: typing.Callable[[int, int], None], n: int) -> None:
-    """fn(lo, hi) over the two halves of a batch of n, the first half on the
-    worker; fn writes its examples' results into preallocated arrays. A batch
-    of one runs inline."""
-    if n < 2:
+def _split(fn: typing.Callable[[int, int], None], n: int, mid: int) -> None:
+    """fn(0, mid) on the worker and fn(mid, n) here, or fn(0, n) inline when
+    mid is 0; fn writes its share of the results into preallocated arrays."""
+    if mid == 0:
         fn(0, n)
         return
-    mid = n // 2
     _in_parallel(lambda: fn(0, mid), lambda: fn(mid, n))
+
+
+def _halves(fn: typing.Callable[[int, int], None], n: int) -> None:
+    """fn(lo, hi) over the two halves of a batch of n, the first half on the
+    worker; a batch of one runs inline."""
+    _split(fn, n, n // 2)
+
+
+# A GEMM output element is one dot product, and a slice of the output made
+# on its own keeps its bits wherever OpenBLAS sums each element the same way.
+# Its blocked x86-64 dgemm kernels do so in output blocks of 8 and 16 alike,
+# but not in the narrower blocks of a ragged edge, nor in the small-matrix
+# kernels it takes for products of at most 100**3 multiply-adds; and numpy
+# sends a one-row product to gemv. So a GEMM splits on a multiple of 8 with
+# both parts above that size, or not at all. (Splitting 7 columns 3 + 4, or
+# the 8 x 40 x 256 product in halves, changed last bits.)
+_GEMM_ALIGN = 8
+_SMALL_GEMM = 100**3
+
+
+def _gemm_mid(n: int, macs: int) -> int:
+    """Where to split the n output rows or columns of a GEMM that takes
+    `macs` multiply-adds for each, for `_split`: 0 keeps it whole."""
+    mid = n // 2 // _GEMM_ALIGN * _GEMM_ALIGN
+    return mid if mid * macs > _SMALL_GEMM else 0
 
 
 # --- layer ops, each on a (n, h, w, c) batch ---
@@ -314,7 +340,13 @@ def forward_batch(model: Model, images: np.ndarray) -> tuple[np.ndarray, Forward
 
     _halves(convs, n)
     flat = flatten(p2)
-    ad = relu(dense_forward(flat, model.dense1))
+    w1, b1 = model.dense1.weights, model.dense1.bias
+    ad = np.empty((n, cfg.hidden_units))
+
+    def dense1(lo: int, hi: int) -> None:
+        ad[:, lo:hi] = relu(dense_forward(flat, DenseLayer(w1[:, lo:hi], b1[lo:hi])))
+
+    _split(dense1, cfg.hidden_units, _gemm_mid(cfg.hidden_units, flat.size))
     prob = sigmoid(dense_forward(ad, model.dense_out)[:, 0])
 
     return prob, ForwardCache(
@@ -341,16 +373,21 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Mod
     # (signed zeros too), and a NaN makes all its example's gradients NaN.
     dzd = dad * (cache.ad > 0)
 
-    dflat = dzd @ model.dense1.weights.T
-    dp2 = (dflat * (cache.flat > 0)).reshape(cache.pool2_arg.shape)
+    w1, flat = model.dense1.weights, cache.flat
+    dflat = np.empty(flat.shape)
 
-    # The input gradients run per example, half the batch on each thread.
-    # Each kernel gradient sums over the batch, so it is one whole-batch
-    # GEMM, and the two run at once. Each thread's malloc arena keeps its
-    # own peak, so the larger, conv2's, runs on the worker and conv1's here,
-    # where dz1 and dz2 live; dense1's weight gradient (16 MB on the paper
-    # model) is made only once they are freed. Each choice took about 10 MB
-    # off the peak RSS of the `train_paper` benchmark.
+    def dense1_input_grad(lo: int, hi: int) -> None:
+        np.multiply(dzd @ w1[lo:hi].T, flat[:, lo:hi] > 0, out=dflat[:, lo:hi])
+
+    _split(dense1_input_grad, flat.shape[1], _gemm_mid(flat.shape[1], dzd.size))
+    dp2 = dflat.reshape(cache.pool2_arg.shape)
+
+    # Each thread's malloc arena keeps its own peak. So every large array is
+    # made here, conv2's padded input included, and the worker only writes
+    # into them; the one it makes is its share of conv2's patch matrix.
+    # dense1's weight gradient (16 MB on the paper model) is made once dz1,
+    # dz2 and that padded input are freed. So placed, the splits left the
+    # peak RSS of the `train_paper` benchmark where it was (207 MB).
     dz2 = np.empty(cache.p1.shape[:3] + model.conv2.bias.shape)
     dz1 = np.empty(cache.x.shape[:3] + model.conv1.bias.shape)
 
@@ -360,39 +397,71 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Mod
         _pool_backward(dp1 * (cache.p1[lo:hi] > 0), cache.pool1_arg[lo:hi], out=dz1[lo:hi])
 
     _halves(input_grads, n)
-    (dk2, dbc2), (dk1, dbc1) = _in_parallel(
-        lambda: _conv_param_grads(cache.p1, model.conv2, dz2),
-        lambda: _conv_param_grads(cache.x, model.conv1, dz1),
+
+    # A kernel gradient cols.T @ dz sums over the batch, so it splits by
+    # patch rows instead. The worker copies out and multiplies conv2's patch
+    # rows dy < k - 1, this thread conv2's last row and all of conv1's, which
+    # take about as long; both read the one padded p1 made here. A last row
+    # too small for the blocked kernels keeps conv2's product whole, here.
+    k, _, f1, f2 = model.conv2.kernels.shape
+    patches2 = _patches(cache.p1, k)
+    dout2, dout1 = dz2.reshape(-1, f2), dz1.reshape(-1, f1)
+    dk2 = np.empty((k, k * f1, f2))
+    mid = k - 1 if k * f1 * dout2.size > _SMALL_GEMM else 0
+
+    def conv2_rows(dy: slice) -> None:
+        cols = patches2[:, :, :, dy].reshape(len(dout2), -1)
+        np.matmul(cols.T, dout2, out=dk2[dy].reshape(-1, f2))
+
+    def worker_share() -> np.ndarray:
+        conv2_rows(slice(0, mid))
+        return dout2.sum(axis=0)
+
+    def caller_share() -> tuple[np.ndarray, np.ndarray]:
+        conv2_rows(slice(mid, k))
+        return _im2col(cache.x, k).reshape(len(dout1), -1).T @ dout1, dout1.sum(axis=0)
+
+    dbc2, (dk1, dbc1) = _in_parallel(worker_share, caller_share)
+    del dz1, dz2, dout1, dout2, patches2
+
+    dw1 = np.empty(w1.shape)
+    _split(
+        lambda lo, hi: np.matmul(flat[:, lo:hi].T, dzd, out=dw1[lo:hi]),
+        flat.shape[1], _gemm_mid(flat.shape[1], dzd.size),
     )
-    del dz1, dz2
 
     return Model(
         model.config,
-        ConvLayer(dk1, dbc1),
-        ConvLayer(dk2, dbc2),
-        DenseLayer(cache.flat.T @ dzd, dzd.sum(axis=0)),
+        ConvLayer(dk1.reshape(model.conv1.kernels.shape), dbc1),
+        ConvLayer(dk2.reshape(model.conv2.kernels.shape), dbc2),
+        DenseLayer(dw1, dzd.sum(axis=0)),
         DenseLayer(dW_out, db_out),
     )
-
-
-def _descend(w: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
-    """w - alpha * g in one fresh array; neither input is written."""
-    d = alpha * g
-    return np.subtract(w, d, out=d)
 
 
 def sgd_step(model: Model, grads: Model, alpha: float) -> Model:
     """One gradient-descent update: w_new = w - alpha * dL/dw.
 
     Pure: returns a new Model and writes neither the model nor the grads.
+    Each tensor, seen as rows along its last axis, has the first half of its
+    rows updated on the worker and the rest here, all in one hand-off; the
+    update is elementwise, so the split keeps every bit.
     """
     if alpha <= 0:
         raise ValueError(f"learning rate must be positive, got {alpha}")
-    g = parameters(grads)
-    return from_parameters(
-        model.config,
-        {name: _descend(w, g[name], alpha) for name, w in parameters(model).items()},
-    )
+    w, g = parameters(model), parameters(grads)
+    new = {name: np.empty(t.shape) for name, t in w.items()}
+
+    def descend(first: bool) -> None:
+        for name, out in new.items():
+            rows = out.reshape(-1, out.shape[-1])
+            part = slice(0, len(rows) // 2) if first else slice(len(rows) // 2, None)
+            o = rows[part]
+            np.multiply(alpha, g[name].reshape(rows.shape)[part], out=o)
+            np.subtract(w[name].reshape(rows.shape)[part], o, out=o)
+
+    _in_parallel(lambda: descend(True), lambda: descend(False))
+    return from_parameters(model.config, new)
 
 
 def init_weights(config: ModelConfig, seed=0) -> Model:
@@ -433,7 +502,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     """Read a checkpoint back; returns (model, extra-config dict).
 
     The header must list exactly the tensors, in order and shape, that its
-    model config implies, and their data must end at the end of the file.
+    model config implies, their data must end at the end of the file, and
+    every value must be finite.
     """
     try:
         with open(path, "rb") as fh:
@@ -474,4 +544,6 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         size = math.prod(shape)
         params[name] = np.frombuffer(data, np.float64, size, pos).reshape(shape).copy()
         pos += 8 * size
+        if not np.isfinite(params[name]).all():
+            raise CorruptCheckpoint(f"{path}: tensor {name} holds NaN or infinity")
     return from_parameters(config, params), header.get("extra", {})

@@ -71,6 +71,8 @@ def derivative(
         f'_i = (-11 f_i + 18 f_{i+1} - 9 f_{i+2} + 2 f_{i+3}) / (6 h),
     exact for polynomials up to degree 3. First-order forward scheme:
         f'_i = (f_{i+1} - f_i) / h.
+    Finite samples whose derivative overflows give inf or NaN there, without
+    a numpy warning; `embed`'s Trajectory raises NonFinite on them.
     """
     f = signal.samples
     n = f.size
@@ -80,9 +82,10 @@ def derivative(
             f">= {scheme.min_samples}"
         )
     h = signal.step
-    if scheme is DerivativeScheme.FIRST_ORDER_FORWARD:
-        return (f[1:] - f[:-1]) / h
-    return (-11.0 * f[:-3] + 18.0 * f[1:-2] - 9.0 * f[2:-1] + 2.0 * f[3:]) / (6.0 * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if scheme is DerivativeScheme.FIRST_ORDER_FORWARD:
+            return (f[1:] - f[:-1]) / h
+        return (-11.0 * f[:-3] + 18.0 * f[1:-2] - 9.0 * f[2:-1] + 2.0 * f[3:]) / (6.0 * h)
 
 
 def embed(

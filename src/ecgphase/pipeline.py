@@ -21,9 +21,10 @@ from .rasterizer import AugmentParams, augment
 from .record_io import PUBLISHED_SPLIT, Label, load_labels
 
 DECISION_THRESHOLD = 0.5  # p >= threshold predicts unhealthy
-# images per inference forward. The dense GEMMs see the whole chunk, and
-# their bits can depend on its row count; the conv GEMMs see half chunks,
-# where a row split is exact (see neuralnet)
+# images per inference forward. It is part of the output bytes: dense_out's
+# GEMM sees the whole chunk, and its bits can depend on the chunk's row
+# count. The other layers split a chunk between two threads only where the
+# split is exact (see neuralnet)
 PREDICT_CHUNK = 16
 
 

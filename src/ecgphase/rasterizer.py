@@ -88,7 +88,8 @@ def fit_viewport(trajectory: Trajectory, margin: float = 0.05) -> Viewport:
         lo = float(pts[:, axis].min())
         hi = float(pts[:, axis].max())
         if hi == lo:
-            half = max(0.5, abs(float(np.spacing(lo))))
+            with np.errstate(over="ignore"):  # inf at the largest float; checked below
+                half = max(0.5, abs(float(np.spacing(lo))))
             lo, hi = lo - half, hi + half
         else:
             pad = margin * (hi - lo)

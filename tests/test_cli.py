@@ -263,7 +263,8 @@ class TestRender:
         hea = data / "100.hea"
         hea.write_text(hea.read_text().replace("212 200 11 1024", "212 1e-305 11 0"))
         assert run(["ingest", "--data-dir", str(data), "--output-dir", str(out)]) == 0
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run(["render", "--output-dir", str(out)]) == 0
         skipped = json.loads((out / "images" / "render_skipped.json").read_text())
         assert list(skipped) == ["100"] and "non-finite" in skipped["100"]
@@ -457,6 +458,21 @@ class TestTrainEval:
             assert run(["eval", "--config", str(cfg)]) == cli.EXIT_DATA
         finally:
             ckpt.write_bytes(good)
+
+    def test_non_finite_checkpoint_is_data_error(self, trained, capsys):
+        cfg, out = trained
+        ckpt = out / "model.ckpt"
+        good = ckpt.read_bytes()
+        model, extra = neuralnet.load_checkpoint(ckpt)
+        params = {**neuralnet.parameters(model), "dense_out.bias": np.array([np.nan])}
+        (out / "eval_report.json").unlink(missing_ok=True)
+        try:
+            neuralnet.save_checkpoint(neuralnet.from_parameters(model.config, params), ckpt, extra=extra)
+            assert run(["eval", "--config", str(cfg), "--records", "103"]) == cli.EXIT_DATA
+        finally:
+            ckpt.write_bytes(good)
+        assert not (out / "eval_report.json").exists()
+        assert "tensor dense_out.bias holds NaN or infinity" in capsys.readouterr().err
 
     def test_checkpoint_of_another_model_config_is_data_error(self, trained, capsys):
         cfg, out = trained
@@ -697,8 +713,10 @@ def test_bad_input_file_never_exits_internal_error(fuzz_tree, kind, data):
         shutil.copytree(fuzz_tree, root)
         path = root / FUZZ_KINDS[kind]
         path.write_bytes(data.draw(mutations(path.read_bytes())))
-        # numpy's overflow warnings do not stop the command; here they would
+        # finite checkpoint weights can overflow the forward pass, where
+        # numpy only prints a warning; here it would be an exit 3
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            if kind == "ckpt":
+                warnings.simplefilter("ignore", RuntimeWarning)
             code = run(fuzz_argv(kind, root))
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA)

@@ -390,6 +390,21 @@ class TestBatchHalves:
         assert got.tobytes() == want.tobytes()
 
 
+# Shapes where splitting every GEMM at its middle changed last bits: 7
+# hidden units split 3 + 4, halves of an 8 x 40 x 256 dense1 input gradient,
+# and a conv2 kernel gradient whose last patch row is a small product. Such
+# GEMMs must stay whole.
+@pytest.mark.parametrize("config, n", [
+    (nn.ModelConfig(input_size=12, kernel_size=5, conv_filters=(3, 3), hidden_units=7), 5),
+    (nn.ModelConfig(input_size=16, conv_filters=(8, 16), hidden_units=40), 8),
+    (nn.ModelConfig(input_size=16, kernel_size=5, conv_filters=(8, 16), hidden_units=17), 8),
+], ids=["ragged-columns", "small-dense", "small-kernel-rows"])
+def test_split_gemms_keep_bits_off_the_paper_shapes(config, n):
+    got, want = split_and_whole_chain(config, n, with_nan=False)
+    for name, a in want.items():
+        assert got[name].tobytes() == a.tobytes(), name
+
+
 class TestBackward:
     def test_fused_output_gradient_on_zero_model(self):
         model = zero_model()
@@ -463,6 +478,25 @@ class TestSgdStep:
             stepped = nn.sgd_step(model, nn.backward_batch(model, cache, np.array([1.0])), alpha)
             p1, _ = nn.forward_batch(stepped, x[None])
             assert nn.bce_loss(p1, 1.0) < loss0
+
+    # the update splits each tensor's rows between two threads; 27 rows of
+    # dense1 weights split unevenly
+    @pytest.mark.parametrize(
+        "config",
+        [nn.ModelConfig(), nn.ModelConfig(input_size=12, conv_filters=(2, 3), hidden_units=5)],
+        ids=["paper", "odd-flat-dim"],
+    )
+    def test_split_update_bytes_equal_whole_expression(self, config):
+        model = nn.init_weights(config, seed=7)
+        rng = np.random.default_rng(8)
+        w = nn.parameters(model)
+        g = {name: rng.normal(size=t.shape) for name, t in w.items()}
+        new = nn.parameters(nn.sgd_step(model, nn.from_parameters(config, g), 0.01))
+        for name, t in w.items():
+            want = t - 0.01 * g[name]
+            assert (new[name].shape, new[name].tobytes()) == (want.shape, want.tobytes()), name
+            assert not np.shares_memory(new[name], t)
+            assert not np.shares_memory(new[name], g[name])
 
     def test_step_is_pure(self):
         model = nn.init_weights(TINY, seed=6)

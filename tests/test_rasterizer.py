@@ -56,6 +56,7 @@ class TestViewport:
     @pytest.mark.parametrize("points, margin", [
         ([[0, -1e308], [1, 1e308]], 0.0),  # the extent itself overflows
         ([[0, 0], [1, 1e308]], 1.0),  # the margin makes it overflow
+        ([[0, 1.7976931348623157e308], [1, 1.7976931348623157e308]], 0.0),  # so does its ulp
     ])
     def test_extent_past_float_range_is_non_finite(self, points, margin):
         with pytest.raises(NonFinite, match="spans more than a float holds"):
