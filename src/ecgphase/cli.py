@@ -341,16 +341,16 @@ def cmd_train(config: RunConfig) -> int:
         test_set=test_set,
     )
 
-    out = Path(config.output_dir)
-    pipeline.emit_curves(metrics, out / "curves.csv")
-    save_checkpoint(model, config.checkpoint_path(), extra=dataclasses.asdict(config))
-
+    # both evaluations run first, so a model that overflows writes no file
     report = pipeline.build_report(
         seed=config.seed,
         config=dataclasses.asdict(config),
         train_report=pipeline.evaluate(model, train_set),
         test_report=pipeline.evaluate(model, test_set),
     )
+    out = Path(config.output_dir)
+    pipeline.emit_curves(metrics, out / "curves.csv")
+    save_checkpoint(model, config.checkpoint_path(), extra=dataclasses.asdict(config))
     (out / "report.json").write_text(report.to_json() + "\n")
     print(
         f"train accuracy {report.summary['train_accuracy']:.4f}, "

@@ -21,12 +21,17 @@ model-parallel halves of Krizhevsky's "One weird trick" (arXiv:1404.5997):
   kernel for the part as for the whole (see `_gemm_mid`);
 - the SGD update by rows of each tensor, as it is elementwise.
 
+A process that may run on one CPU only runs both parts on the calling
+thread, one after the other. Within its half, conv2's input gradient runs
+one example at a time, so that the example's patch gradients stay in cache.
+
 So every bit is that of the whole-batch chain of layer ops. All math is
 float64 so the finite-difference gradient checks are meaningful.
 """
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import json
 import math
@@ -175,14 +180,24 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _conv_input_grad(layer: ConvLayer, dout: np.ndarray, in_shape: tuple) -> np.ndarray:
-    """Adjoint of the conv in its input: scatter the patch gradients back."""
+    """Adjoint of the conv in its input: scatter the patch gradients back.
+
+    One example at a time, so that its patch gradients (2.4 MB for conv2 of
+    the paper model) and its padded block stay in cache: each example's
+    (h, w, k*k*c) patch gradients are the same stacked matmul rows a
+    whole-batch `dout @ kernels.T` gives, and each padded element sums its
+    contributions from 0.0 in kernel-offset order, as over the whole batch.
+    """
     k, _, _, c_out = layer.kernels.shape
     n, h, w, c = in_shape
     p = (k - 1) // 2
-    dcols = (dout @ layer.kernels.reshape(-1, c_out).T).reshape(n, h, w, k * k, c)
+    kernels_t = np.ascontiguousarray(layer.kernels.reshape(-1, c_out).T)
+    dcols = np.empty((h, w, k * k, c))
     dpadded = np.zeros((n, h + 2 * p, w + 2 * p, c))
-    for i, (dy, dx) in enumerate(np.ndindex(k, k)):
-        dpadded[:, dy : dy + h, dx : dx + w, :] += dcols[:, :, :, i, :]
+    for j in range(n):
+        np.matmul(dout[j], kernels_t, out=dcols.reshape(h, w, k * k * c))
+        for i, (dy, dx) in enumerate(np.ndindex(k, k)):
+            dpadded[j, dy : dy + h, dx : dx + w, :] += dcols[:, :, i, :]
     return dpadded[:, p : p + h, p : p + w, :]
 
 
@@ -202,13 +217,19 @@ def _in_parallel(first: typing.Callable, second: typing.Callable) -> tuple:
     """(first(), second()), with first run on a one-thread worker and second
     on the calling thread; returns only once both are done.
 
-    The worker is made on first use, and made again in a forked child, which
-    inherits the executor but not its thread.
+    A process that may run on one CPU only runs both here, in turn, and
+    makes no worker; the CPUs are read on every call, as they can change
+    while the process runs. The worker is made on first use, and made again
+    in a forked child, which inherits the executor but not its thread. It
+    runs `first` in a copy of the caller's context, so that numpy's
+    floating-point error state (a context variable) holds there too.
     """
+    if len(os.sched_getaffinity(0)) < 2:
+        return first(), second()
     global _worker, _worker_pid
     if _worker is None or _worker_pid != os.getpid():
         _worker, _worker_pid = ThreadPoolExecutor(max_workers=1), os.getpid()
-    future = _worker.submit(first)
+    future = _worker.submit(contextvars.copy_context().run, first)
     try:
         second_result = second()
     finally:

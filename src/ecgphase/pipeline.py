@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import LabelMismatch
+from .errors import LabelMismatch, NonFinite
 from .neuralnet import Model, backward_batch, bce_loss, forward_batch, sgd_step
 from .rasterizer import AugmentParams, augment
 from .record_io import PUBLISHED_SPLIT, Label, load_labels
@@ -174,6 +174,19 @@ def _to_input(image: np.ndarray) -> np.ndarray:
     return image.astype(np.float64) / 255.0
 
 
+# Weights that overflow make numpy warn and give NaN probabilities. The
+# network runs with those warnings off, and a NaN probability (and so a NaN
+# loss) raises NonFinite instead. Used as a decorator, np.errstate sets the
+# state per call, on the calling thread; `neuralnet` carries it to its worker
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+def _check_finite(probs: np.ndarray, where: str) -> None:
+    if not np.isfinite(probs).all():
+        raise NonFinite(f"the network's output is not finite {where}; the weights overflowed")
+
+
+@_quiet_overflow
 def train(
     model: Model,
     train_set: list[LabeledImage],
@@ -187,7 +200,9 @@ def train(
     update. Train metrics come from the augmented training batches (before
     each update); test metrics from the clean test images. `rng` draws every
     shuffle and augmentation, so the result is fixed by its state.
-    `train_set` is non-empty.
+    `train_set` is non-empty. Raises NonFinite once a probability, and so a
+    loss, is not finite, as when the learning rate makes the weights
+    diverge.
     """
     train_labels = np.array([float(ex.label) for ex in train_set])
     test_inputs = None
@@ -212,6 +227,7 @@ def train(
             )
             batch_y = train_labels[batch_idx]
             probs, cache = forward_batch(model, batch_imgs)
+            _check_finite(probs, f"in training epoch {epoch}")
             grads = backward_batch(model, cache, batch_y)
             model = sgd_step(model, grads, config.learning_rate)
             loss_sum += bce_loss(probs, batch_y) * batch_y.size
@@ -219,6 +235,7 @@ def train(
 
         if test_inputs is not None:
             test_probs = _predict_probs(model, test_inputs)
+            _check_finite(test_probs, f"on the test set after epoch {epoch}")
             test_loss = bce_loss(test_probs, test_labels)
             test_acc = float(
                 np.mean((test_probs >= DECISION_THRESHOLD) == (test_labels == 1.0))
@@ -240,12 +257,14 @@ def train(
     return model, metrics
 
 
+@_quiet_overflow
 def evaluate(model: Model, labeled_set: list[LabeledImage]) -> EvalReport:
     """Per-record probabilities, predictions, confusion counts, accuracies
-    of a non-empty set."""
+    of a non-empty set. Raises NonFinite when a probability is not finite."""
     ordered = sorted(labeled_set, key=lambda ex: ex.record_id)
     inputs = np.stack([_to_input(ex.image) for ex in ordered])
     probs = _predict_probs(model, inputs)
+    _check_finite(probs, "in evaluation")
 
     predicted_unhealthy = probs >= DECISION_THRESHOLD
     is_unhealthy = np.array([ex.label == Label.UNHEALTHY for ex in ordered])

@@ -10,6 +10,9 @@ The segments are drawn with Bresenham's algorithm, whose pixels depend only
 on a segment's pixel delta. A table of every delta's pixel offsets, built
 once per process on first use, gives each segment's pixels, and a record's
 repeated segments (most of them, on a long record) are inked once.
+
+The augmentation samples each image channel-major, as a (c, h*w) array, so
+that each bilinear corner is one flat gather along the pixel axis.
 """
 
 from __future__ import annotations
@@ -203,13 +206,28 @@ def rasterize(trajectory: Trajectory, chord: QRChord | None, viewport: Viewport)
     return img
 
 
+@functools.cache
+def _centred_grid(h: int, w: int) -> np.ndarray:
+    """Read-only (2, h, w) pixel coordinates relative to the image center,
+    x then y; built once per image size."""
+    ys, xs = np.mgrid[0:h, 0:w]
+    rel = np.stack([xs - (w - 1) / 2.0, ys - (h - 1) / 2.0])
+    rel.flags.writeable = False
+    return rel
+
+
 def apply_affine(image: np.ndarray, zoom: float, shear: float, flip: bool) -> np.ndarray:
     """Affine zoom/shear/flip about the image center with bilinear sampling.
 
     Source coordinates outside the image clamp to the nearest edge pixel.
     zoom = 1, shear = 0, flip = False is the exact identity.
+
+    The image is sampled channel-major, as a (c, h*w) array, so each of the
+    four corners is one flat gather along the pixel axis; every output value
+    comes from the same float operations, in the same order, as sampling the
+    (h, w, c) image at 2-D indices would give.
     """
-    h, w = image.shape[:2]
+    h, w, c = image.shape
     if zoom <= 0:
         raise ValueError(f"zoom must be positive, got {zoom}")
 
@@ -221,26 +239,23 @@ def apply_affine(image: np.ndarray, zoom: float, shear: float, flip: bool) -> np
     d = zoom
     inv = np.array([[1.0 / a, -b / (a * d)], [0.0, 1.0 / d]])
 
-    cx = (w - 1) / 2.0
-    cy = (h - 1) / 2.0
-    ys, xs = np.mgrid[0:h, 0:w]
-    rel = np.stack([xs - cx, ys - cy])                    # (2, h, w)
-    src = np.tensordot(inv, rel, axes=1)                  # (2, h, w)
-    sx = np.clip(src[0] + cx, 0, w - 1)
-    sy = np.clip(src[1] + cy, 0, h - 1)
+    src = np.tensordot(inv, _centred_grid(h, w), axes=1).reshape(2, h * w)
+    sx = np.clip(src[0] + (w - 1) / 2.0, 0, w - 1)
+    sy = np.clip(src[1] + (h - 1) / 2.0, 0, h - 1)
 
     x0 = np.floor(sx).astype(np.intp)
     y0 = np.floor(sy).astype(np.intp)
     x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    wx = (sx - x0)[..., None]
-    wy = (sy - y0)[..., None]
+    wx = sx - x0
+    wy = sy - y0
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
 
-    pix = image.astype(np.float64)
-    top = pix[y0, x0] * (1 - wx) + pix[y0, x1] * wx
-    bot = pix[y1, x0] * (1 - wx) + pix[y1, x1] * wx
-    out = top * (1 - wy) + bot * wy
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    pix = image.transpose(2, 0, 1).reshape(c, h * w).astype(np.float64)
+    top = pix.take(row0 + x0, axis=1) * (1 - wx) + pix.take(row0 + x1, axis=1) * wx
+    bot = pix.take(row1 + x0, axis=1) * (1 - wx) + pix.take(row1 + x1, axis=1) * wx
+    out = np.clip(np.rint(top * (1 - wy) + bot * wy), 0, 255).astype(np.uint8)
+    return np.ascontiguousarray(out.reshape(c, h, w).transpose(1, 2, 0))
 
 
 def augment(image: np.ndarray, params: AugmentParams, rng: np.random.Generator) -> np.ndarray:

@@ -5,6 +5,7 @@ code with the package) so a bug in the vectorized paths cannot hide.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -228,6 +229,39 @@ def rasterize_loop(trajectory, chord, viewport):
         x1, y1 = pixel_of(v0 + 1.0 * (v1 - v0), dv0 + 1.0 * (dv1 - dv0), viewport)
         draw_line(img, x0, y0, x1, y1)
     return img
+
+
+def apply_affine_gather(image, zoom, shear, flip):
+    """Bilinear zoom/shear/flip of an (h, w, c) image, each corner gathered
+    with 2-D fancy indexing of the (h, w, c) float image; the same sampling
+    arithmetic as `rasterizer.apply_affine`."""
+    h, w = image.shape[:2]
+    tan_s = math.tan(shear)
+    a = -zoom if flip else zoom
+    b = -tan_s if flip else tan_s
+    d = zoom
+    inv = np.array([[1.0 / a, -b / (a * d)], [0.0, 1.0 / d]])
+
+    cx = (w - 1) / 2.0
+    cy = (h - 1) / 2.0
+    ys, xs = np.mgrid[0:h, 0:w]
+    rel = np.stack([xs - cx, ys - cy])
+    src = np.tensordot(inv, rel, axes=1)
+    sx = np.clip(src[0] + cx, 0, w - 1)
+    sy = np.clip(src[1] + cy, 0, h - 1)
+
+    x0 = np.floor(sx).astype(np.intp)
+    y0 = np.floor(sy).astype(np.intp)
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    wx = (sx - x0)[..., None]
+    wy = (sy - y0)[..., None]
+
+    pix = image.astype(np.float64)
+    top = pix[y0, x0] * (1 - wx) + pix[y0, x1] * wx
+    bot = pix[y1, x0] * (1 - wx) + pix[y1, x1] * wx
+    out = top * (1 - wy) + bot * wy
+    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
 
 
 def synth_irregular_mask(

@@ -474,6 +474,36 @@ class TestTrainEval:
         assert not (out / "eval_report.json").exists()
         assert "tensor dense_out.bias holds NaN or infinity" in capsys.readouterr().err
 
+    def test_diverging_training_is_data_error(self, tmp_path, capsys):
+        # the weights overflow in the first epoch; numpy's warnings are errors
+        # under pytest's RuntimeWarning filter, so none may reach either thread
+        cfg, out = fast_config(tmp_path, "diverge")
+        assert run(["synth", "--config", str(cfg)]) == 0
+        assert run(["render", "--config", str(cfg)]) == 0
+        argv = ["train", "--config", str(cfg), "--learning-rate", "1e300", "--epochs", "1"]
+        assert run(argv) == cli.EXIT_DATA
+        assert "the network's output is not finite in training epoch 0" in capsys.readouterr().err
+        assert not any((out / name).exists() for name in ("model.ckpt", "curves.csv", "report.json"))
+
+    def test_overflowing_checkpoint_is_data_error(self, trained, capsys):
+        # finite weights whose forward pass overflows to NaN
+        cfg, out = trained
+        ckpt = out / "model.ckpt"
+        good = ckpt.read_bytes()
+        model, extra = neuralnet.load_checkpoint(ckpt)
+        params = neuralnet.parameters(model)
+        for name in ("conv1.kernels", "dense1.weights"):
+            params[name] = params[name] * 1e300
+        assert all(np.isfinite(t).all() for t in params.values())
+        (out / "eval_report.json").unlink(missing_ok=True)
+        try:
+            neuralnet.save_checkpoint(neuralnet.from_parameters(model.config, params), ckpt, extra=extra)
+            assert run(["eval", "--config", str(cfg), "--records", "103"]) == cli.EXIT_DATA
+        finally:
+            ckpt.write_bytes(good)
+        assert not (out / "eval_report.json").exists()
+        assert "the network's output is not finite in evaluation" in capsys.readouterr().err
+
     def test_checkpoint_of_another_model_config_is_data_error(self, trained, capsys):
         cfg, out = trained
         ckpt = out / "model.ckpt"
@@ -713,10 +743,5 @@ def test_bad_input_file_never_exits_internal_error(fuzz_tree, kind, data):
         shutil.copytree(fuzz_tree, root)
         path = root / FUZZ_KINDS[kind]
         path.write_bytes(data.draw(mutations(path.read_bytes())))
-        # finite checkpoint weights can overflow the forward pass, where
-        # numpy only prints a warning; here it would be an exit 3
-        with warnings.catch_warnings():
-            if kind == "ckpt":
-                warnings.simplefilter("ignore", RuntimeWarning)
-            code = run(fuzz_argv(kind, root))
+        code = run(fuzz_argv(kind, root))
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_DATA)

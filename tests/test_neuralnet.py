@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ecgphase import neuralnet as nn
+from ecgphase import pipeline
 from ecgphase.errors import CorruptCheckpoint, OddDimension, ShapeMismatch
+from ecgphase.record_io import Label
 from oracles import (
     PARAM_TENSORS,
+    _conv_grads,
     conv2d_naive,
     dense_naive,
     im2col_loop,
@@ -350,6 +353,31 @@ print(split_digest())
 """
 
 
+def training_digest():
+    """sha256 of the model and metrics of one augmented paper-model epoch
+    on nine random images, in batches of 8 and 1, tested on two more."""
+    rng = np.random.default_rng(12)
+    images = rng.integers(0, 256, (11, 64, 64, 3), dtype=np.uint8)
+    labeled = [pipeline.LabeledImage(str(i), images[i], Label(i % 2)) for i in range(11)]
+    model = nn.init_weights(nn.ModelConfig(), seed=3)
+    model, metrics = pipeline.train(model, labeled[:9], pipeline.TrainConfig(epochs=1), rng, labeled[9:])
+    h = hashlib.sha256(repr(metrics).encode())
+    for t in nn.parameters(model).values():
+        h.update(t.tobytes())
+    return h.hexdigest()
+
+
+# a child that may run on one CPU only; it prints its training digest and
+# whether it made a worker thread. argv[1] is this directory
+ONE_CPU_CHILD = """
+import os, sys, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+sys.path.insert(0, sys.argv[1])
+from test_neuralnet import nn, training_digest
+print(training_digest(), threading.active_count(), nn._worker is None)
+"""
+
+
 class TestBatchHalves:
     """The conv layers run each half of a batch on its own thread; the bytes
     must equal those of the whole-batch chain of layer ops."""
@@ -380,6 +408,13 @@ class TestBatchHalves:
         )
         assert child.stdout.strip() == split_digest()
 
+    def test_one_cpu_runs_inline_with_the_threaded_bytes(self):
+        child = subprocess.run(
+            [sys.executable, "-c", ONE_CPU_CHILD, str(Path(__file__).parent)],
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert child.stdout.split() == [training_digest(), "1", "True"]
+
     def test_forked_child_makes_its_own_worker(self):
         # a forked child inherits the executor but not its thread
         model = nn.init_weights(TINY, seed=0)
@@ -403,6 +438,24 @@ def test_split_gemms_keep_bits_off_the_paper_shapes(config, n):
     got, want = split_and_whole_chain(config, n, with_nan=False)
     for name, a in want.items():
         assert got[name].tobytes() == a.tobytes(), name
+
+
+@pytest.mark.parametrize("config", [
+    nn.ModelConfig(), TINY, nn.ModelConfig(input_size=12, kernel_size=5, conv_filters=(3, 4), hidden_units=5),
+], ids=["paper", "tiny", "kernel-5"])
+@pytest.mark.parametrize("n", [1, 5, 11])
+def test_conv_input_grad_matches_whole_batch_scatter(config, n):
+    # conv2's input gradient, per example, against the whole-batch GEMM and
+    # scatter; example 0 holds only ±0
+    layer = nn.init_weights(config, seed=n).conv2
+    side, (f1, f2) = config.input_size // 2, config.conv_filters
+    rng = np.random.default_rng(n)
+    dout = rng.normal(size=(n, side, side, f2))
+    dout[0] = np.where(rng.uniform(size=dout[0].shape) < 0.5, -0.0, 0.0)
+    x = np.zeros((n, side, side, f1))  # the oracle's kernel gradient reads it
+    got = nn._conv_input_grad(layer, dout, x.shape)
+    want = _conv_grads(x, layer.kernels, dout)[0]
+    assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 
 
 class TestBackward:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import draw_line, pixel_of, rasterize_loop
+from oracles import apply_affine_gather, draw_line, pixel_of, rasterize_loop
 
 from ecgphase import cli, phase_space, rasterizer, record_io
 from ecgphase.errors import MalformedPPM, NonFinite
@@ -250,6 +250,23 @@ class TestAugment:
         out = rasterizer.apply_affine(img, zoom=2.0, shear=0.0, flip=False)
         # magnification by 2 should grow the black square
         assert np.sum(out[:, :, 0] < 128) > np.sum(img[:, :, 0] < 128)
+
+    @pytest.mark.parametrize("shape", [(64, 64, 3), (17, 33, 3), (64, 64, 1), (1, 1, 3)])
+    def test_matches_gather_oracle(self, shape):
+        # 750 random draws per shape, beyond the default ranges too, plus the
+        # identity and the pure flip
+        rng = np.random.default_rng(sum(shape))
+        img = rng.integers(0, 256, size=shape).astype(np.uint8)
+        draws = [(1.0, 0.0, False), (1.0, 0.0, True)] + [
+            (rng.uniform(0.5, 1.5), rng.uniform(-0.6, 0.6), bool(rng.integers(2)))
+            for _ in range(750)
+        ]
+        for zoom, shear, flip in draws:
+            got = rasterizer.apply_affine(img, zoom, shear, flip)
+            want = apply_affine_gather(img, zoom, shear, flip)
+            draw = (zoom, shear, flip)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), draw
+            assert got.flags.c_contiguous
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
