@@ -8,7 +8,7 @@ import os
 # 0.42-0.58 s at OpenBLAS's default thread count against 0.33 s at one on a
 # 2-vCPU VM). BLAS reads these when numpy loads, so they are set before the
 # submodules import it; a process that loaded numpy first keeps its own
-# count. The thread count changes no output byte.
+# count. On the kernels README names, the count changes no output byte.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var

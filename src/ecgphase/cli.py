@@ -326,6 +326,8 @@ def _load_images(config: RunConfig, record_ids) -> dict[str, np.ndarray]:
 
 def cmd_train(config: RunConfig) -> int:
     """Train on the split's training records and report both set evaluations."""
+    out = Path(config.output_dir)
+    _remove_files(out, "model.ckpt", "curves.csv", "report.json")
     split = config.dataset_split()
     images = _load_images(config, split.all_records)
     train_set, test_set = pipeline.build_dataset(images, load_labels(), split)
@@ -348,7 +350,6 @@ def cmd_train(config: RunConfig) -> int:
         train_report=pipeline.evaluate(model, train_set),
         test_report=pipeline.evaluate(model, test_set),
     )
-    out = Path(config.output_dir)
     pipeline.emit_curves(metrics, out / "curves.csv")
     save_checkpoint(model, config.checkpoint_path(), extra=dataclasses.asdict(config))
     (out / "report.json").write_text(report.to_json() + "\n")
@@ -361,24 +362,21 @@ def cmd_train(config: RunConfig) -> int:
 
 def cmd_eval(config: RunConfig, records: list[str] | None = None) -> int:
     """Evaluate a checkpoint on the test split (or a record subset)."""
+    out = Path(config.output_dir)
+    _remove_files(out, "eval_report.json")
     model, _ = load_checkpoint(config.checkpoint_path())
+    records = records or list(config.dataset_split().test)
+    images = _load_images(config, records)
     labels = load_labels()
-
-    if records:
-        pairs = [(rid, labels[rid]) for rid in records]
-    else:
-        pairs = list(config.dataset_split().test)
-
-    images = _load_images(config, [rid for rid, _ in pairs])
-    _, labeled = pipeline.build_dataset(images, labels, DatasetSplit(train=(), test=tuple(pairs)))
+    labeled = [pipeline.LabeledImage(rid, images[rid], labels[rid]) for rid in records]
     report = pipeline.evaluate(model, labeled)
     payload = {
         "seed": config.seed,
         "config": dataclasses.asdict(config),
-        "records": [rid for rid, _ in pairs],
+        "records": records,
         "eval": dataclasses.asdict(report),
     }
-    _write_json(Path(config.output_dir) / "eval_report.json", payload)
+    _write_json(out / "eval_report.json", payload)
     print(f"accuracy {report.accuracy:.4f} over {len(labeled)} records")
     return EXIT_OK
 

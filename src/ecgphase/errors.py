@@ -82,7 +82,3 @@ class CorruptCheckpoint(EcgPhaseError, ValueError):
 
 class MissingImage(EcgPhaseError, KeyError):
     """Split references a record with no rendered image."""
-
-
-class LabelMismatch(EcgPhaseError, KeyError):
-    """Split references a record absent from the label table."""

@@ -15,10 +15,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import LabelMismatch, NonFinite
+from .errors import NonFinite
 from .neuralnet import Model, backward_batch, bce_loss, forward_batch, sgd_step
 from .rasterizer import AugmentParams, augment
-from .record_io import PUBLISHED_SPLIT, Label, load_labels
+from .record_io import PUBLISHED_SPLIT, Label, load_labels, quadrant_label
 
 DECISION_THRESHOLD = 0.5  # p >= threshold predicts unhealthy
 # images per inference forward. It is part of the output bytes: dense_out's
@@ -30,10 +30,11 @@ PREDICT_CHUNK = 16
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """Record ids with labels, partitioned into train and test."""
+    """Record ids partitioned into train and test; each record's label is
+    the label table's."""
 
-    train: tuple[tuple[str, Label], ...]
-    test: tuple[tuple[str, Label], ...]
+    train: tuple[str, ...]
+    test: tuple[str, ...]
 
     def __post_init__(self):
         repeated = sorted(rid for rid, k in Counter(self.all_records).items() if k > 1)
@@ -42,7 +43,7 @@ class DatasetSplit:
 
     @property
     def all_records(self) -> tuple[str, ...]:
-        return tuple(rid for rid, _ in self.train) + tuple(rid for rid, _ in self.test)
+        return self.train + self.test
 
 
 def split_from_quadrants(q: dict) -> DatasetSplit:
@@ -58,15 +59,16 @@ def split_from_quadrants(q: dict) -> DatasetSplit:
     ):
         raise ValueError(f"split must map exactly {sorted(PUBLISHED_SPLIT)} to lists of record ids")
     split = DatasetSplit(
-        train=tuple((rid, Label.HEALTHY) for rid in q["train_healthy"])
-        + tuple((rid, Label.UNHEALTHY) for rid in q["train_unhealthy"]),
-        test=tuple((rid, Label.HEALTHY) for rid in q["test_healthy"])
-        + tuple((rid, Label.UNHEALTHY) for rid in q["test_unhealthy"]),
+        train=tuple(q["train_healthy"]) + tuple(q["train_unhealthy"]),
+        test=tuple(q["test_healthy"]) + tuple(q["test_unhealthy"]),
     )
     if not (split.train and split.test):
         raise ValueError("split needs at least one train and one test record")
     table = load_labels()
-    mislabeled = [rid for rid, label in split.train + split.test if table.get(rid) != label]
+    mislabeled = [
+        rid for quadrant in PUBLISHED_SPLIT for rid in q[quadrant]
+        if table.get(rid) != quadrant_label(quadrant)
+    ]
     if mislabeled:
         raise ValueError(f"split records not in the label table under that label: {mislabeled}")
     return split
@@ -140,24 +142,10 @@ def build_dataset(
     labels: dict[str, Label],
     split: DatasetSplit,
 ) -> tuple[list[LabeledImage], list[LabeledImage]]:
-    """Assemble (train, test) labeled-image lists for the split; `images`
-    holds every split record.
-
-    Raises LabelMismatch when a split record is missing from the label table
-    or carries a different label there.
-    """
-    def lookup(pairs) -> list[LabeledImage]:
-        out = []
-        for rid, label in pairs:
-            if rid not in labels:
-                raise LabelMismatch(f"record {rid!r} is not in the label table")
-            if labels[rid] != label:
-                raise LabelMismatch(
-                    f"record {rid!r}: split says {Label(label).name}, "
-                    f"table says {labels[rid].name}"
-                )
-            out.append(LabeledImage(record_id=rid, image=images[rid], label=label))
-        return out
+    """Assemble (train, test) labeled-image lists in split order; `images`
+    and `labels` hold every split record."""
+    def lookup(ids) -> list[LabeledImage]:
+        return [LabeledImage(record_id=rid, image=images[rid], label=labels[rid]) for rid in ids]
 
     return lookup(split.train), lookup(split.test)
 

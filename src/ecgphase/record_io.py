@@ -279,14 +279,16 @@ def load_record(header_path, channel: str = "MLII") -> Signal:
     return select_channel(header, raw, channel)
 
 
+def quadrant_label(quadrant: str) -> Label:
+    """The label of the records in a quadrant keyed like PUBLISHED_SPLIT:
+    those of a `*_unhealthy` quadrant are unhealthy."""
+    return Label.UNHEALTHY if quadrant.endswith("_unhealthy") else Label.HEALTHY
+
+
 def load_labels() -> dict[str, Label]:
-    """The fixed 44-record healthy/unhealthy table (11 + 33 entries): a
-    record in a `*_unhealthy` quadrant of PUBLISHED_SPLIT is unhealthy."""
-    return {
-        rid: Label.UNHEALTHY if quadrant.endswith("_unhealthy") else Label.HEALTHY
-        for quadrant, ids in PUBLISHED_SPLIT.items()
-        for rid in ids
-    }
+    """The fixed 44-record healthy/unhealthy table (11 + 33 entries), read
+    off the quadrants of PUBLISHED_SPLIT."""
+    return {rid: quadrant_label(quadrant) for quadrant, ids in PUBLISHED_SPLIT.items() for rid in ids}
 
 
 # Beat template: five Gaussian bumps as (center, width, amplitude_mV), all

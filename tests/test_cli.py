@@ -485,6 +485,17 @@ class TestTrainEval:
         assert "the network's output is not finite in training epoch 0" in capsys.readouterr().err
         assert not any((out / name).exists() for name in ("model.ckpt", "curves.csv", "report.json"))
 
+    def test_failed_training_leaves_no_earlier_model(self, tmp_path):
+        # eval must not score the model of a train that ran before the failed one
+        cfg, out = fast_config(tmp_path, "rerun")
+        assert run(["run-all", "--config", str(cfg), "--epochs", "1"]) == 0
+        assert run(["eval", "--config", str(cfg)]) == 0
+        argv = ["train", "--config", str(cfg), "--learning-rate", "1e300", "--epochs", "1"]
+        assert run(argv) == cli.EXIT_DATA
+        assert not any((out / name).exists() for name in ("model.ckpt", "curves.csv", "report.json"))
+        assert run(["eval", "--config", str(cfg)]) == cli.EXIT_DATA
+        assert not (out / "eval_report.json").exists()
+
     def test_overflowing_checkpoint_is_data_error(self, trained, capsys):
         # finite weights whose forward pass overflows to NaN
         cfg, out = trained

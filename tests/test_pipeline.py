@@ -5,7 +5,6 @@ import pytest
 
 from ecgphase import neuralnet as nn
 from ecgphase import pipeline
-from ecgphase.errors import LabelMismatch
 from ecgphase.pipeline import (
     DatasetSplit,
     EpochMetrics,
@@ -51,10 +50,11 @@ def zero_model():
 class TestSplit:
     def test_matches_published_table(self):
         split = default_split()
-        train_h = {r for r, l in split.train if l == Label.HEALTHY}
-        train_u = {r for r, l in split.train if l == Label.UNHEALTHY}
-        test_h = {r for r, l in split.test if l == Label.HEALTHY}
-        test_u = {r for r, l in split.test if l == Label.UNHEALTHY}
+        table = load_labels()
+        train_h = {r for r in split.train if table[r] == Label.HEALTHY}
+        train_u = {r for r in split.train if table[r] == Label.UNHEALTHY}
+        test_h = {r for r in split.test if table[r] == Label.HEALTHY}
+        test_u = {r for r in split.test if table[r] == Label.UNHEALTHY}
         assert train_h == {"101", "113", "115", "117", "121", "122", "123", "230"}
         assert test_h == {"103", "112", "234"}
         assert train_u == {
@@ -68,17 +68,14 @@ class TestSplit:
         split = default_split()
         assert len(split.train) == 33
         assert len(split.test) == 11
-        train_ids = {r for r, _ in split.train}
-        test_ids = {r for r, _ in split.test}
+        train_ids = set(split.train)
+        test_ids = set(split.test)
         assert not train_ids & test_ids
         assert train_ids | test_ids == set(load_labels())
 
     def test_overlapping_split_rejected(self):
         with pytest.raises(ValueError):
-            DatasetSplit(
-                train=(("101", Label.HEALTHY),),
-                test=(("101", Label.HEALTHY),),
-            )
+            DatasetSplit(train=("101",), test=("101",))
 
 
 class TestBuildDataset:
@@ -92,20 +89,12 @@ class TestBuildDataset:
     def test_default_counts(self):
         split = default_split()
         images = self.images_for(split.all_records)
-        train, test = pipeline.build_dataset(images, load_labels(), split)
-        assert len(train) == 33
-        assert len(test) == 11
+        table = load_labels()
+        train, test = pipeline.build_dataset(images, table, split)
+        assert tuple(ex.record_id for ex in train) == split.train
+        assert tuple(ex.record_id for ex in test) == split.test
+        assert all(ex.label == table[ex.record_id] for ex in train + test)
         assert {ex.record_id for ex in test if ex.label == Label.HEALTHY} == {"103", "112", "234"}
-
-    def test_excluded_record_rejected(self):
-        split = DatasetSplit(train=(("102", Label.HEALTHY),), test=())
-        with pytest.raises(LabelMismatch):
-            pipeline.build_dataset(self.images_for(["102"]), load_labels(), split)
-
-    def test_label_disagreement_rejected(self):
-        split = DatasetSplit(train=(("101", Label.UNHEALTHY),), test=())
-        with pytest.raises(LabelMismatch):
-            pipeline.build_dataset(self.images_for(["101"]), load_labels(), split)
 
 
 class TestTrain:
