@@ -67,11 +67,7 @@ class MalformedPPM(EcgPhaseError, ValueError):
 # --- neural network ---
 
 class ShapeMismatch(EcgPhaseError, ValueError):
-    """Tensor shape incompatible with the layer."""
-
-
-class OddDimension(EcgPhaseError, ValueError):
-    """Max-pool input with odd height or width."""
+    """Image or image batch shaped other than the model's input."""
 
 
 class CorruptCheckpoint(EcgPhaseError, ValueError):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, OddDimension, ShapeMismatch
+from .errors import CorruptCheckpoint, ShapeMismatch
 
 _SIGMOID_HI = float(np.nextafter(1.0, 0.0))
 _SIGMOID_LO = float(np.nextafter(0.0, 1.0))
@@ -201,12 +201,12 @@ def _conv_input_grad(layer: ConvLayer, dout: np.ndarray, in_shape: tuple) -> np.
     return dpadded[:, p : p + h, p : p + w, :]
 
 
-def _pool_backward(dout: np.ndarray, arg: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    n, h, w, c = arg.shape
-    dx = np.empty((n, 2 * h, 2 * w, c)) if out is None else out
+def _pool_backward(dout: np.ndarray, arg: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Scatter each pooled gradient to its window's argmax in `out`, which is
+    (n, 2h, 2w, c) for an (n, h, w, c) `arg`; returns `out`."""
     for q, (row, col) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        np.multiply(dout, arg == q, out=dx[:, row::2, col::2, :])
-    return dx
+        np.multiply(dout, arg == q, out=out[:, row::2, col::2, :])
+    return out
 
 
 _worker: ThreadPoolExecutor | None = None
@@ -218,13 +218,18 @@ def _in_parallel(first: typing.Callable, second: typing.Callable) -> tuple:
     on the calling thread; returns only once both are done.
 
     A process that may run on one CPU only runs both here, in turn, and
-    makes no worker; the CPUs are read on every call, as they can change
-    while the process runs. The worker is made on first use, and made again
+    makes no worker. The CPUs are read on every call, as they can change
+    while the process runs: the affinity set where the platform has one,
+    else the machine's count. The worker is made on first use, and made again
     in a forked child, which inherits the executor but not its thread. It
     runs `first` in a copy of the caller's context, so that numpy's
     floating-point error state (a context variable) holds there too.
     """
-    if len(os.sched_getaffinity(0)) < 2:
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
         return first(), second()
     global _worker, _worker_pid
     if _worker is None or _worker_pid != os.getpid():
@@ -274,24 +279,22 @@ def _gemm_mid(n: int, macs: int) -> int:
 # --- layer ops, each on a (n, h, w, c) batch ---
 
 def conv2d_forward(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
-    """Same-padded stride-1 convolution; preserves the spatial size."""
-    k, _, c_in, c_out = layer.kernels.shape
-    if x.ndim != 4 or x.shape[3] != c_in:
-        raise ShapeMismatch(f"expected (n, h, w, {c_in}) input, got shape {x.shape}")
+    """Same-padded stride-1 convolution of an (n, h, w, c_in) batch, c_in
+    the kernels' input channels; preserves the spatial size."""
+    k, _, _, c_out = layer.kernels.shape
     out = _im2col(x, k) @ layer.kernels.reshape(-1, c_out)
     out += layer.bias
     return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
+    """Elementwise max(x, 0) of a float64 array."""
+    return np.maximum(x, 0.0)
 
 
 def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 stride-2 max pool; returns (pooled, window argmax indices)."""
-    n, h, w, c = x.shape
-    if h % 2 or w % 2:
-        raise OddDimension(f"max pool needs even spatial dims, got {h}x{w}")
+    """2x2 stride-2 max pool of an (n, h, w, c) batch with h and w even;
+    returns (pooled, window argmax indices)."""
     # window corners in row-major order; >= comparisons break ties toward
     # the first row-major position, matching a naive scan
     a = x[:, 0::2, 0::2, :]
@@ -308,17 +311,14 @@ def maxpool_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def flatten(x: np.ndarray) -> np.ndarray:
-    """Row-major linearization of each (h, w, c) example: (n, h*w*c)."""
-    if x.ndim != 4:
-        raise ShapeMismatch(f"expected (n, h, w, c) input, got shape {x.shape}")
+    """Row-major linearization of each (h, w, c) example of an (n, h, w, c)
+    batch: (n, h*w*c)."""
     return x.reshape(x.shape[0], -1)
 
 
 def dense_forward(x: np.ndarray, layer: DenseLayer) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    n_in = layer.weights.shape[0]
-    if x.shape[-1] != n_in:
-        raise ShapeMismatch(f"input width {x.shape[-1]} != layer width {n_in}")
+    """x @ weights + bias, x a float64 array whose last axis is the layer's
+    input width."""
     return x @ layer.weights + layer.bias
 
 
@@ -377,11 +377,10 @@ def forward_batch(model: Model, images: np.ndarray) -> tuple[np.ndarray, Forward
 
 def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Model:
     """Mean-loss gradients for a batch, shaped as the model, using the fused
-    sigmoid+BCE output grad; `cache` is the batch's `forward_batch` cache."""
+    sigmoid+BCE output grad; `cache` is the batch's `forward_batch` cache,
+    and `labels` holds one label per example of that batch."""
     y = np.asarray(labels, dtype=np.float64).reshape(-1)
     n = y.size
-    if cache.prob.shape[0] != n:
-        raise ShapeMismatch(f"cache holds {cache.prob.shape[0]} examples, labels {n}")
 
     dlogit = ((cache.prob - y) / n)[:, None]                      # (n, 1)
 
@@ -461,15 +460,13 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Mod
 
 
 def sgd_step(model: Model, grads: Model, alpha: float) -> Model:
-    """One gradient-descent update: w_new = w - alpha * dL/dw.
+    """One gradient-descent update: w_new = w - alpha * dL/dw, alpha > 0.
 
     Pure: returns a new Model and writes neither the model nor the grads.
     Each tensor, seen as rows along its last axis, has the first half of its
     rows updated on the worker and the rest here, all in one hand-off; the
     update is elementwise, so the split keeps every bit.
     """
-    if alpha <= 0:
-        raise ValueError(f"learning rate must be positive, got {alpha}")
     w, g = parameters(model), parameters(grads)
     new = {name: np.empty(t.shape) for name, t in w.items()}
 

@@ -75,15 +75,13 @@ class AugmentParams:
 
 
 def fit_viewport(trajectory: Trajectory, margin: float = 0.05) -> Viewport:
-    """Tight bounding box of the trajectory, expanded by margin per side.
+    """Tight bounding box of the trajectory, expanded by margin >= 0 per side.
 
     A zero-extent axis (constant signal or constant derivative) is widened
     to +/- 0.5 units so the viewport stays valid, or by one unit in the last
     place where that is larger (|v| >= 2**52), since 0.5 would round away.
     Raises NonFinite when an axis's widened extent overflows a float.
     """
-    if margin < 0:
-        raise ValueError(f"margin must be >= 0, got {margin}")
     pts = trajectory.points
 
     lims = []
@@ -220,7 +218,8 @@ def apply_affine(image: np.ndarray, zoom: float, shear: float, flip: bool) -> np
     """Affine zoom/shear/flip about the image center with bilinear sampling.
 
     Source coordinates outside the image clamp to the nearest edge pixel.
-    zoom = 1, shear = 0, flip = False is the exact identity.
+    zoom must be positive; zoom = 1, shear = 0, flip = False is the exact
+    identity.
 
     The image is sampled channel-major, as a (c, h*w) array, so each of the
     four corners is one flat gather along the pixel axis; every output value
@@ -228,8 +227,6 @@ def apply_affine(image: np.ndarray, zoom: float, shear: float, flip: bool) -> np
     (h, w, c) image at 2-D indices would give.
     """
     h, w, c = image.shape
-    if zoom <= 0:
-        raise ValueError(f"zoom must be positive, got {zoom}")
 
     # forward map A = Flip . Shear_x . Zoom about the center; sample with A^-1,
     # inverted analytically so identity and pure flip stay exact

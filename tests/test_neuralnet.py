@@ -17,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 from ecgphase import neuralnet as nn
 from ecgphase import pipeline
-from ecgphase.errors import CorruptCheckpoint, OddDimension, ShapeMismatch
+from ecgphase.errors import CorruptCheckpoint, ShapeMismatch
 from ecgphase.record_io import Label
 from oracles import (
     PARAM_TENSORS,
@@ -102,13 +102,6 @@ class TestConv:
         for x in (strided, fortran):
             assert np.array_equal(nn._im2col(x, 3), im2col_loop(pad_same(x, 3), 3))
 
-    def test_channel_mismatch(self):
-        # a wrong channel count, or a single image without its batch axis
-        layer = nn.ConvLayer(np.zeros((3, 3, 2, 4)), np.zeros(4))
-        for shape in ((1, 6, 6, 3), (6, 6, 2)):
-            with pytest.raises(ShapeMismatch):
-                nn.conv2d_forward(np.zeros(shape), layer)
-
 
 class TestRelu:
     def test_values(self):
@@ -166,7 +159,7 @@ class TestMaxPool:
         _, arg = nn.maxpool_forward(x)
         assert arg.dtype == np.int8
         dout = rng.normal(size=(2, 3, 4, 3))
-        dx = nn._pool_backward(dout, arg)
+        dx = nn._pool_backward(dout, arg, out=np.empty(x.shape))
         expected = np.zeros_like(x)
         for i in range(x.shape[0]):
             _, slow_arg = maxpool_naive(x[i])
@@ -189,13 +182,9 @@ class TestMaxPool:
         )))
         p, arg = nn.maxpool_forward(nn.relu(z))
         with np.errstate(invalid="ignore"):  # inf times a zero mask
-            before = nn._pool_backward(dp * (p > 0), arg)
-            after = nn._pool_backward(dp, arg) * (z > 0)
+            before = nn._pool_backward(dp * (p > 0), arg, out=np.empty(z.shape))
+            after = nn._pool_backward(dp, arg, out=np.empty(z.shape)) * (z > 0)
         assert before.tobytes() == after.tobytes()
-
-    def test_odd_dimension(self):
-        with pytest.raises(OddDimension):
-            nn.maxpool_forward(np.zeros((1, 3, 4, 1)))
 
 
 class TestFlattenDense:
@@ -209,8 +198,6 @@ class TestFlattenDense:
 
     def test_flatten_model_scale(self):
         assert nn.flatten(np.zeros((1, 16, 16, 64))).shape == (1, 16384)
-        with pytest.raises(ShapeMismatch):  # one image without its batch axis
-            nn.flatten(np.zeros((16, 16, 64)))
 
     def test_dense_identity(self):
         layer = nn.DenseLayer(np.eye(5), np.zeros(5))
@@ -229,11 +216,6 @@ class TestFlattenDense:
             layer = nn.DenseLayer(rng.normal(size=(n_in, n_out)), rng.normal(size=n_out))
             x = rng.normal(size=n_in)
             assert np.max(np.abs(nn.dense_forward(x, layer) - dense_naive(x, layer.weights, layer.bias))) < 1e-12
-
-    def test_dense_shape_mismatch(self):
-        layer = nn.DenseLayer(np.zeros((3, 2)), np.zeros(2))
-        with pytest.raises(ShapeMismatch):
-            nn.dense_forward(np.zeros(4), layer)
 
 
 class TestSigmoidLoss:
@@ -414,6 +396,17 @@ class TestBatchHalves:
             capture_output=True, text=True, timeout=300, check=True,
         )
         assert child.stdout.split() == [training_digest(), "1", "True"]
+
+    def test_platform_without_affinity_counts_its_cpus(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity; there the split
+        # reads os.cpu_count, and on one CPU it runs inline with no worker
+        want = training_digest()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert training_digest() == want
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(nn, "_worker", None)
+        assert training_digest() == want
+        assert nn._worker is None
 
     def test_forked_child_makes_its_own_worker(self):
         # a forked child inherits the executor but not its thread
