@@ -98,19 +98,16 @@ class RunConfig:
     def scheme(self) -> DerivativeScheme:
         return DerivativeScheme(self.derivative_scheme)
 
-    def augment_params(self) -> AugmentParams:
-        return AugmentParams(
-            zoom_range=self.zoom_range,
-            shear_range=self.shear_range,
-            horizontal_flip=self.horizontal_flip,
-        )
-
     def train_config(self) -> TrainConfig:
         return TrainConfig(
             epochs=self.epochs,
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
-            augment=self.augment_params(),
+            augment=AugmentParams(
+                zoom_range=self.zoom_range,
+                shear_range=self.shear_range,
+                horizontal_flip=self.horizontal_flip,
+            ),
         )
 
     def signals_dir(self) -> Path:
@@ -150,12 +147,6 @@ def load_config(path, overrides: dict) -> RunConfig:
 def _write_json(path: Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _write_resolved_config(config: RunConfig, command: str) -> None:
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "run_config.json", {"command": command, **dataclasses.asdict(config)})
 
 
 def _remove_files(directory: Path, *patterns: str) -> None:
@@ -260,6 +251,10 @@ def cmd_ingest(config: RunConfig) -> int:
     for rid, load in sorted(loaders.items()):
         if rid in EXCLUDED_RECORDS:
             skipped[rid] = "excluded record (no MLII or paced beats)"
+            continue
+        if rid.casefold() == "skipped":
+            # on a case-insensitive filesystem any casing names the same file
+            skipped[rid] = f"its {rid}.json would be overwritten by the skip report"
             continue
         try:
             signal = load()
@@ -437,7 +432,10 @@ def main(argv=None) -> int:
         except (ValueError, TypeError) as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        _write_resolved_config(config, args.command)
+        _write_json(
+            Path(config.output_dir) / "run_config.json",
+            {"command": args.command, **dataclasses.asdict(config)},
+        )
 
         if args.command in ("ingest", "synth"):
             return cmd_ingest(config)

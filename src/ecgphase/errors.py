@@ -27,7 +27,7 @@ class OutOfRange(EcgPhaseError, ValueError):
     """Sample value outside the signed 12-bit range."""
 
 
-class ChannelAbsent(EcgPhaseError, KeyError):
+class ChannelAbsent(EcgPhaseError):
     """Requested channel not present in the record; the record is excluded."""
 
 
@@ -76,5 +76,5 @@ class CorruptCheckpoint(EcgPhaseError, ValueError):
 
 # --- dataset / training ---
 
-class MissingImage(EcgPhaseError, KeyError):
+class MissingImage(EcgPhaseError):
     """Split references a record with no rendered image."""

@@ -251,12 +251,6 @@ def _split(fn: typing.Callable[[int, int], None], n: int, mid: int) -> None:
     _in_parallel(lambda: fn(0, mid), lambda: fn(mid, n))
 
 
-def _halves(fn: typing.Callable[[int, int], None], n: int) -> None:
-    """fn(lo, hi) over the two halves of a batch of n, the first half on the
-    worker; a batch of one runs inline."""
-    _split(fn, n, n // 2)
-
-
 # A GEMM output element is one dot product, and a slice of the output made
 # on its own keeps its bits wherever OpenBLAS sums each element the same way.
 # Its blocked x86-64 dgemm kernels do so in output blocks of 8 and 16 alike,
@@ -359,7 +353,7 @@ def forward_batch(model: Model, images: np.ndarray) -> tuple[np.ndarray, Forward
         p1[lo:hi], arg1[lo:hi] = maxpool_forward(relu(conv2d_forward(x[lo:hi], model.conv1)))
         p2[lo:hi], arg2[lo:hi] = maxpool_forward(relu(conv2d_forward(p1[lo:hi], model.conv2)))
 
-    _halves(convs, n)
+    _split(convs, n, n // 2)
     flat = flatten(p2)
     w1, b1 = model.dense1.weights, model.dense1.bias
     ad = np.empty((n, cfg.hidden_units))
@@ -416,7 +410,7 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Mod
         dp1 = _conv_input_grad(model.conv2, dz2[lo:hi], cache.p1[lo:hi].shape)
         _pool_backward(dp1 * (cache.p1[lo:hi] > 0), cache.pool1_arg[lo:hi], out=dz1[lo:hi])
 
-    _halves(input_grads, n)
+    _split(input_grads, n, n // 2)
 
     # A kernel gradient cols.T @ dz sums over the batch, so it splits by
     # patch rows instead. The worker copies out and multiplies conv2's patch

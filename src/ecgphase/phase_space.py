@@ -57,8 +57,6 @@ class QRChord:
 
     q_point: tuple[float, float]
     r_point: tuple[float, float]
-    q_index: int
-    r_index: int
 
 
 def derivative(
@@ -124,8 +122,6 @@ def qr_chord(trajectory: Trajectory, q_index: int, r_index: int) -> QRChord:
     return QRChord(
         q_point=tuple(trajectory.points[q_index]),
         r_point=tuple(trajectory.points[r_index]),
-        q_index=q_index,
-        r_index=r_index,
     )
 
 

@@ -9,7 +9,6 @@ evaluated untouched.
 from __future__ import annotations
 
 import json
-import math
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
@@ -180,7 +179,7 @@ def train(
     train_set: list[LabeledImage],
     config: TrainConfig,
     rng: np.random.Generator,
-    test_set: list[LabeledImage] | None = None,
+    test_set: list[LabeledImage],
 ) -> tuple[Model, list[EpochMetrics]]:
     """Fixed-epoch gradient-descent training loop.
 
@@ -188,16 +187,13 @@ def train(
     update. Train metrics come from the augmented training batches (before
     each update); test metrics from the clean test images. `rng` draws every
     shuffle and augmentation, so the result is fixed by its state.
-    `train_set` is non-empty. Raises NonFinite once a probability, and so a
-    loss, is not finite, as when the learning rate makes the weights
-    diverge.
+    `train_set` and `test_set` are non-empty. Raises NonFinite once a
+    probability, and so a loss, is not finite, as when the learning rate
+    makes the weights diverge.
     """
     train_labels = np.array([float(ex.label) for ex in train_set])
-    test_inputs = None
-    test_labels = None
-    if test_set:
-        test_inputs = np.stack([_to_input(ex.image) for ex in test_set])
-        test_labels = np.array([float(ex.label) for ex in test_set])
+    test_inputs = np.stack([_to_input(ex.image) for ex in test_set])
+    test_labels = np.array([float(ex.label) for ex in test_set])
 
     metrics: list[EpochMetrics] = []
     n = len(train_set)
@@ -221,16 +217,12 @@ def train(
             loss_sum += bce_loss(probs, batch_y) * batch_y.size
             correct += int(np.sum((probs >= DECISION_THRESHOLD) == (batch_y == 1.0)))
 
-        if test_inputs is not None:
-            test_probs = _predict_probs(model, test_inputs)
-            _check_finite(test_probs, f"on the test set after epoch {epoch}")
-            test_loss = bce_loss(test_probs, test_labels)
-            test_acc = float(
-                np.mean((test_probs >= DECISION_THRESHOLD) == (test_labels == 1.0))
-            )
-        else:
-            test_loss = math.nan
-            test_acc = math.nan
+        test_probs = _predict_probs(model, test_inputs)
+        _check_finite(test_probs, f"on the test set after epoch {epoch}")
+        test_loss = bce_loss(test_probs, test_labels)
+        test_acc = float(
+            np.mean((test_probs >= DECISION_THRESHOLD) == (test_labels == 1.0))
+        )
 
         metrics.append(
             EpochMetrics(

@@ -302,7 +302,6 @@ ECG_BUMPS = (
     (0.445, 0.0075, -0.25),  # S
     (0.650, 0.0400, 0.35),   # T
 )
-R_PHASE = 0.400
 
 
 def _beat_voltage(phase: np.ndarray, period_s: float, bumps=ECG_BUMPS) -> np.ndarray:
@@ -321,6 +320,26 @@ def _beat_voltage(phase: np.ndarray, period_s: float, bumps=ECG_BUMPS) -> np.nda
     return v
 
 
+def _synth_sample_count(duration: float, sampling_rate: float) -> int:
+    """Samples in `duration` seconds at `sampling_rate`; both must be positive."""
+    if duration <= 0 or sampling_rate <= 0:
+        raise ValueError("duration and sampling_rate must be positive")
+    return int(round(duration * sampling_rate))
+
+
+def _synth_signal(
+    samples: np.ndarray, sampling_rate: float, seed: int, record_id: str | None
+) -> Signal:
+    """The MLII signal of a synthetic record, named `synth<seed>` unless
+    `record_id` is given."""
+    return Signal(
+        record_id=record_id if record_id is not None else f"synth{seed}",
+        channel="MLII",
+        sampling_rate=sampling_rate,
+        samples=samples,
+    )
+
+
 def synth_ecg(
     duration: float,
     sampling_rate: float,
@@ -334,12 +353,10 @@ def synth_ecg(
     With noise_amp = 0 the output is exactly periodic whenever the beat
     interval is an integer number of samples.
     """
-    if duration <= 0 or sampling_rate <= 0:
-        raise ValueError("duration and sampling_rate must be positive")
+    n = _synth_sample_count(duration, sampling_rate)
     if not 20 <= heart_rate <= 240:
         raise ValueError(f"heart_rate {heart_rate} outside [20, 240] bpm")
 
-    n = int(round(duration * sampling_rate))
     period_s = 60.0 / heart_rate
     period_samples = sampling_rate * period_s
     if abs(period_samples - round(period_samples)) < 1e-9:
@@ -353,12 +370,7 @@ def synth_ecg(
         rng = np.random.default_rng(seed)
         samples += rng.uniform(-noise_amp, noise_amp, size=n)
 
-    return Signal(
-        record_id=record_id if record_id is not None else f"synth{seed}",
-        channel="MLII",
-        sampling_rate=sampling_rate,
-        samples=samples,
-    )
+    return _synth_signal(samples, sampling_rate, seed, record_id)
 
 
 def synth_ecg_irregular(
@@ -378,10 +390,8 @@ def synth_ecg_irregular(
     nominal), its own R amplitude scale, and with probability ectopic_prob
     becomes a wide low ectopic-like beat. Deterministic per seed.
     """
-    if duration <= 0 or sampling_rate <= 0:
-        raise ValueError("duration and sampling_rate must be positive")
+    n = _synth_sample_count(duration, sampling_rate)
     rng = np.random.default_rng(seed)
-    n = int(round(duration * sampling_rate))
     t = np.arange(n) / sampling_rate
     samples = np.zeros(n)
 
@@ -402,12 +412,7 @@ def synth_ecg_irregular(
     if noise_amp > 0:
         samples += rng.uniform(-noise_amp, noise_amp, size=n)
 
-    return Signal(
-        record_id=record_id if record_id is not None else f"synth{seed}",
-        channel="MLII",
-        sampling_rate=sampling_rate,
-        samples=samples,
-    )
+    return _synth_signal(samples, sampling_rate, seed, record_id)
 
 
 def _csv_rows(fh, path):

@@ -1,10 +1,10 @@
 """Acceptance suite: one test (and one printed PASS/FAIL line) per criterion.
 
 Criterion 9 runs `run-all` for five seeds at the full 175 epochs and
-dominates the runtime (241 s on a 2-vCPU VM); everything else finishes in
-seconds. Set ECGPHASE_MITBIH_DIR to a directory of real .hea/.dat records to
-run the statistical-reproduction criterion against the licensed database
-instead of the synthetic corpus.
+dominates the runtime (244 s in one run on a 2-vCPU VM); everything else
+finishes in seconds. Set ECGPHASE_MITBIH_DIR to a directory of real
+.hea/.dat records to run the statistical-reproduction criterion against the
+licensed database instead of the synthetic corpus.
 """
 
 import json
@@ -142,11 +142,13 @@ def test_05_overfit_smoke():
     model = init_weights(ModelConfig(), seed=0)
     rng = np.random.default_rng(np.random.SeedSequence(0))
     # 50-epoch chunks share the model and rng, so the sequence is identical
-    # to one 500-epoch run; stop as soon as the target accuracy appears
+    # to one 500-epoch run; stop as soon as the target accuracy appears. The
+    # per-epoch test pass draws nothing from rng, so scoring one record of
+    # each label leaves the training metrics as they are
     metrics = []
     for _ in range(10):
         cfg = TrainConfig(epochs=50, learning_rate=0.01, batch_size=8, augment=NO_AUG)
-        model, chunk = pipeline.train(model, examples, cfg, rng=rng)
+        model, chunk = pipeline.train(model, examples, cfg, rng=rng, test_set=examples[::4])
         metrics.extend(chunk)
         if any(m.train_accuracy == 1.0 for m in chunk):
             break

@@ -88,6 +88,29 @@ class TestIngest:
         skipped = json.loads((out / "signals" / "skipped.json").read_text())
         assert set(skipped) == {"102", "107"}
 
+    def test_absent_channel_reason_is_plain_text(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
+        write_disk_records(data, {"100": "MLII", "101": "V2"})
+        assert run(["ingest", "--data-dir", str(data), "--output-dir", str(out), "--channel", "V2"]) == 0
+        skipped = json.loads((out / "signals" / "skipped.json").read_text())
+        assert skipped == {"100": "record '100' has channels ['MLII', 'V5'], not 'V2'"}
+
+    @pytest.mark.parametrize("rid", ["skipped", "Skipped"])
+    def test_record_named_skipped_is_skipped(self, tmp_path, rid):
+        # its skipped.json would be overwritten by the skip report, which
+        # render would then read as that record's metadata; on a
+        # case-insensitive filesystem Skipped.json is the same file
+        data, out = tmp_path / "data", tmp_path / "out"
+        write_disk_records(data, {"100": "MLII"})
+        (data / f"{rid}.csv").write_text("".join(f"{v}\n" for v in np.linspace(-1.0, 1.0, 40)))
+        args = ["--data-dir", str(data), "--output-dir", str(out), "--csv-sampling-rate", "360"]
+        assert run(["ingest", *args]) == 0
+        assert not (out / "signals" / f"{rid}.npy").exists()
+        skipped = json.loads((out / "signals" / "skipped.json").read_text())
+        assert list(skipped) == [rid] and "skip report" in skipped[rid]
+        assert run(["render", "--output-dir", str(out)]) == 0
+        assert json.loads((out / "images" / "render_skipped.json").read_text()) == {}
+
     def test_reingest_replaces_signal_cache(self, tmp_path):
         out = tmp_path / "out"
         write_disk_records(tmp_path / "first", {"100": "MLII", "101": "MLII"})
@@ -473,6 +496,10 @@ class TestTrainEval:
             ckpt.write_bytes(good)
         assert not (out / "eval_report.json").exists()
         assert "tensor dense_out.bias holds NaN or infinity" in capsys.readouterr().err
+
+    def test_train_without_images_is_data_error(self, tmp_path, capsys):
+        assert run(["train", "--output-dir", str(tmp_path / "empty")]) == cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: no rendered image ")
 
     def test_diverging_training_is_data_error(self, tmp_path, capsys):
         # the weights overflow in the first epoch; numpy's warnings are errors

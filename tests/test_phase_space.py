@@ -104,8 +104,9 @@ class TestPeaks:
     def test_r_peak_on_synth(self):
         sig = record_io.synth_ecg(2.0, 360.0, heart_rate=60.0, noise_amp=0.0)
         r = phase_space.detect_r_peak(sig)
-        # R bumps sit at phase 0.4 of each 360-sample beat
-        assert r % 360 == int(record_io.R_PHASE * 360)
+        # R, the tallest bump, sits at the same phase of each 360-sample beat
+        r_center = max(record_io.ECG_BUMPS, key=lambda bump: bump[2])[0]
+        assert r % 360 == int(r_center * 360)
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(5)
@@ -151,7 +152,10 @@ class TestChord:
         sig = record_io.synth_ecg(2.0, 360.0, heart_rate=60.0, noise_amp=0.0)
         traj = phase_space.embed(sig)
         chord = phase_space.chord_for_signal(sig, traj)
-        assert chord.r_index > chord.q_index
+        r = phase_space.detect_r_peak(sig)
+        q = phase_space.detect_q_point(sig, r)
+        assert q < r
+        assert chord.q_point == tuple(traj.points[q])
         assert chord.r_point[0] == pytest.approx(traj.v.max())
 
     def test_r_in_derivative_tail_clamps(self):
@@ -160,5 +164,5 @@ class TestChord:
         sig = make_signal(samples, rate=360.0)
         traj = phase_space.embed(sig)
         chord = phase_space.chord_for_signal(sig, traj)
-        assert chord.r_index == len(traj) - 1
+        assert chord.r_point == tuple(traj.points[-1])
 

@@ -103,7 +103,7 @@ class TestTrain:
         train_set = tiny_set([0, 1])
         out, metrics = pipeline.train(
             model, train_set, TrainConfig(epochs=0),
-            rng=np.random.default_rng(np.random.SeedSequence(0)),
+            rng=np.random.default_rng(np.random.SeedSequence(0)), test_set=tiny_set([1, 0], seed=4),
         )
         assert metrics == []
         assert np.array_equal(out.conv1.kernels, model.conv1.kernels)
@@ -132,7 +132,8 @@ class TestTrain:
         cfg = TrainConfig(epochs=400, learning_rate=0.01, batch_size=4, augment=NO_AUG)
         model = nn.init_weights(TINY, seed=1)
         _, metrics = pipeline.train(
-            model, train_set, cfg, rng=np.random.default_rng(np.random.SeedSequence(1))
+            model, train_set, cfg,
+            rng=np.random.default_rng(np.random.SeedSequence(1)), test_set=tiny_set([1, 0], seed=4),
         )
         assert any(m.train_accuracy == 1.0 for m in metrics)
 
@@ -140,7 +141,7 @@ class TestTrain:
         model = nn.init_weights(TINY, seed=0)
         _, metrics = pipeline.train(
             model, tiny_set([0, 1]), TrainConfig(epochs=7),
-            rng=np.random.default_rng(np.random.SeedSequence(0)),
+            rng=np.random.default_rng(np.random.SeedSequence(0)), test_set=tiny_set([1, 0], seed=4),
         )
         assert [m.epoch for m in metrics] == list(range(7))
 

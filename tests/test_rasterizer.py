@@ -87,7 +87,7 @@ class TestRasterize:
 
     def test_degenerate_chord_single_pixel(self):
         vp = Viewport(0.0, 1.0, 0.0, 1.0)
-        chord = QRChord(q_point=(0.5, 0.5), r_point=(0.5, 0.5), q_index=0, r_index=0)
+        chord = QRChord(q_point=(0.5, 0.5), r_point=(0.5, 0.5))
         base = rasterizer.rasterize(traj_of([[0, 0], [0, 0]]), None, vp)
         img = rasterizer.rasterize(traj_of([[0, 0], [0, 0]]), chord, vp)
         extra = (img[:, :, 0] == 0) & (base[:, :, 0] != 0)
@@ -107,8 +107,8 @@ class TestRasterize:
 
     def test_point_outside_viewport_rejected(self):
         vp = Viewport(0.0, 1.0, 0.0, 1.0)
-        off = QRChord(q_point=(0.5, 0.5), r_point=(1.5, 0.5), q_index=0, r_index=1)
-        nan = QRChord(q_point=(0.5, float("nan")), r_point=(0.5, 0.5), q_index=0, r_index=1)
+        off = QRChord(q_point=(0.5, 0.5), r_point=(1.5, 0.5))
+        nan = QRChord(q_point=(0.5, float("nan")), r_point=(0.5, 0.5))
         for traj, chord in [
             (traj_of([[2, 2], [3, 3]]), None),      # entirely outside
             (traj_of([[-1, 0.5], [2, 0.5]]), None),  # crossing the viewport
