@@ -22,11 +22,17 @@ model-parallel halves of Krizhevsky's "One weird trick" (arXiv:1404.5997):
 - the SGD update by rows of each tensor, as it is elementwise.
 
 A process that may run on one CPU only runs both parts on the calling
-thread, one after the other. Within its half, conv2's input gradient runs
-one example at a time, so that the example's patch gradients stay in cache.
+thread, one after the other. Within its half, each thread runs the conv
+chain one example at a time, forward (conv1, ReLU, pool1, conv2, ReLU,
+pool2) and back (pool2 scatter, conv2 input gradient, ReLU mask, pool1
+scatter), so that it holds one example's patch matrix (2.4 MB for conv2 of
+the paper model) where half a batch's took 9.4 MB at batch 8.
 
-So every bit is that of the whole-batch chain of layer ops. All math is
-float64 so the finite-difference gradient checks are meaningful.
+So every bit is that of the whole-batch chain of layer ops, in which
+conv2's input gradient multiplies by a C-contiguous copy of the transposed
+kernel matrix, as `_conv_input_grad` does: by the transposed view, OpenBLAS
+sums that product in another order on some shapes off the paper's. All
+math is float64 so the finite-difference gradient checks are meaningful.
 """
 
 from __future__ import annotations
@@ -185,8 +191,9 @@ def _conv_input_grad(layer: ConvLayer, dout: np.ndarray, in_shape: tuple) -> np.
     One example at a time, so that its patch gradients (2.4 MB for conv2 of
     the paper model) and its padded block stay in cache: each example's
     (h, w, k*k*c) patch gradients are the same stacked matmul rows a
-    whole-batch `dout @ kernels.T` gives, and each padded element sums its
-    contributions from 0.0 in kernel-offset order, as over the whole batch.
+    whole-batch product by the same contiguous `kernels_t` gives, and each
+    padded element sums its contributions from 0.0 in kernel-offset order,
+    as over the whole batch.
     """
     k, _, _, c_out = layer.kernels.shape
     n, h, w, c = in_shape
@@ -350,8 +357,10 @@ def forward_batch(model: Model, images: np.ndarray) -> tuple[np.ndarray, Forward
     p2, arg2 = np.empty((n, side // 2, side // 2, f2)), np.empty((n, side // 2, side // 2, f2), np.int8)
 
     def convs(lo: int, hi: int) -> None:
-        p1[lo:hi], arg1[lo:hi] = maxpool_forward(relu(conv2d_forward(x[lo:hi], model.conv1)))
-        p2[lo:hi], arg2[lo:hi] = maxpool_forward(relu(conv2d_forward(p1[lo:hi], model.conv2)))
+        for j in range(lo, hi):
+            e = slice(j, j + 1)
+            p1[e], arg1[e] = maxpool_forward(relu(conv2d_forward(x[e], model.conv1)))
+            p2[e], arg2[e] = maxpool_forward(relu(conv2d_forward(p1[e], model.conv2)))
 
     _split(convs, n, n // 2)
     flat = flatten(p2)
@@ -398,25 +407,29 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Mod
 
     # Each thread's malloc arena keeps its own peak. So every large array is
     # made here, conv2's padded input included, and the worker only writes
-    # into them; the one it makes is its share of conv2's patch matrix.
-    # dense1's weight gradient (16 MB on the paper model) is made once dz1,
-    # dz2 and that padded input are freed. So placed, the splits left the
-    # peak RSS of the `train_paper` benchmark where it was (207 MB).
+    # into them; what it makes is one example's patch gradients and one patch
+    # row of conv2's patch matrix at a time. dense1's weight gradient (16 MB
+    # on the paper model) is made once dz1, dz2 and that padded input are
+    # freed.
     dz2 = np.empty(cache.p1.shape[:3] + model.conv2.bias.shape)
     dz1 = np.empty(cache.x.shape[:3] + model.conv1.bias.shape)
 
     def input_grads(lo: int, hi: int) -> None:
-        _pool_backward(dp2[lo:hi], cache.pool2_arg[lo:hi], out=dz2[lo:hi])
-        dp1 = _conv_input_grad(model.conv2, dz2[lo:hi], cache.p1[lo:hi].shape)
-        _pool_backward(dp1 * (cache.p1[lo:hi] > 0), cache.pool1_arg[lo:hi], out=dz1[lo:hi])
+        for j in range(lo, hi):
+            e = slice(j, j + 1)
+            _pool_backward(dp2[e], cache.pool2_arg[e], out=dz2[e])
+            dp1 = _conv_input_grad(model.conv2, dz2[e], cache.p1[e].shape)
+            _pool_backward(dp1 * (cache.p1[e] > 0), cache.pool1_arg[e], out=dz1[e])
 
     _split(input_grads, n, n // 2)
 
     # A kernel gradient cols.T @ dz sums over the batch, so it splits by
     # patch rows instead. The worker copies out and multiplies conv2's patch
-    # rows dy < k - 1, this thread conv2's last row and all of conv1's, which
-    # take about as long; both read the one padded p1 made here. A last row
-    # too small for the blocked kernels keeps conv2's product whole, here.
+    # rows dy < k - 1, one row at a time (6.3 MB each on the paper model at
+    # batch 8), this thread conv2's last row and all of conv1's, which take
+    # about as long; both read the one padded p1 made here. Each row is one
+    # product of the size `mid` tests: one too small for the blocked kernels
+    # keeps conv2's product whole, here.
     k, _, f1, f2 = model.conv2.kernels.shape
     patches2 = _patches(cache.p1, k)
     dout2, dout1 = dz2.reshape(-1, f2), dz1.reshape(-1, f1)
@@ -428,7 +441,8 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Mod
         np.matmul(cols.T, dout2, out=dk2[dy].reshape(-1, f2))
 
     def worker_share() -> np.ndarray:
-        conv2_rows(slice(0, mid))
+        for dy in range(mid):
+            conv2_rows(slice(dy, dy + 1))
         return dout2.sum(axis=0)
 
     def caller_share() -> tuple[np.ndarray, np.ndarray]:

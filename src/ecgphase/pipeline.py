@@ -212,8 +212,12 @@ def train(
             batch_y = train_labels[batch_idx]
             probs, cache = forward_batch(model, batch_imgs)
             _check_finite(probs, f"in training epoch {epoch}")
+            # each step's cache and gradients are freed as soon as they are
+            # used, so neither is alive while the next batch allocates
             grads = backward_batch(model, cache, batch_y)
+            del cache
             model = sgd_step(model, grads, config.learning_rate)
+            del grads
             loss_sum += bce_loss(probs, batch_y) * batch_y.size
             correct += int(np.sum((probs >= DECISION_THRESHOLD) == (batch_y == 1.0)))
 

@@ -140,14 +140,20 @@ def _unpool(dout, arg):
 
 
 def _conv_grads(x, kernels, dout):
-    """(input, kernel, bias) gradients of a same-padded conv of the batch x."""
+    """(input, kernel, bias) gradients of a same-padded conv of the batch x.
+
+    The input gradient's product takes the transposed kernel matrix as a
+    C-contiguous copy, as `nn._conv_input_grad` does: off the paper's shapes
+    OpenBLAS can sum a transposed view's product in another order, so the
+    two layouts may differ in last bits.
+    """
     k, _, c_in, c_out = kernels.shape
     n, h, w, _ = x.shape
     p = (k - 1) // 2
     dout2 = dout.reshape(-1, c_out)
     cols = im2col_loop(np.pad(x, ((0, 0), (p, p), (p, p), (0, 0))), k).reshape(-1, k * k * c_in)
     dkernels = (cols.T @ dout2).reshape(kernels.shape)
-    dcols = (dout @ kernels.reshape(-1, c_out).T).reshape(n, h, w, k * k, c_in)
+    dcols = (dout @ np.ascontiguousarray(kernels.reshape(-1, c_out).T)).reshape(n, h, w, k * k, c_in)
     dpadded = np.zeros((n, h + 2 * p, w + 2 * p, c_in))
     for i, (dy, dx) in enumerate(np.ndindex(k, k)):
         dpadded[:, dy : dy + h, dx : dx + w, :] += dcols[:, :, :, i, :]

@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -324,15 +325,27 @@ def split_digest():
     return h.hexdigest()
 
 
-# a child that loads numpy before the package, so BLAS keeps its own thread
-# count; argv[1] is this directory
-DEFAULT_THREADS_CHILD = """
+# a child that prints `split_digest`; argv[1] is this directory
+SPLIT_DIGEST_CHILD = """
 import sys
-import numpy
 sys.path.insert(0, sys.argv[1])
 from test_neuralnet import split_digest
 print(split_digest())
 """
+
+# a child that imports numpy before the package; it prints the thread count
+# of the OpenBLAS that numpy's wheel bundles, or nothing if it bundles none
+NUMPY_FIRST_CHILD = """
+import ctypes, pathlib
+import numpy
+import ecgphase
+for lib in (pathlib.Path(numpy.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"):
+    get = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    print(get())
+"""
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def training_digest():
@@ -381,14 +394,26 @@ class TestBatchHalves:
 
     def test_bit_identical_at_default_blas_thread_count(self):
         # this process runs one BLAS thread, the package's default; the child
-        # runs as many as BLAS picks itself (one per CPU)
-        blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        env = {k: v for k, v in os.environ.items() if k not in blas_vars}
+        # runs one per CPU, and at least two, which the package leaves as set
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env["OPENBLAS_NUM_THREADS"] = str(max(2, os.cpu_count() or 1))
         child = subprocess.run(
-            [sys.executable, "-c", DEFAULT_THREADS_CHILD, str(Path(__file__).parent)],
+            [sys.executable, "-c", SPLIT_DIGEST_CHILD, str(Path(__file__).parent)],
             env=env, capture_output=True, text=True, timeout=300, check=True,
         )
         assert child.stdout.strip() == split_digest()
+
+    def test_package_sets_one_blas_thread_after_numpy_loaded(self):
+        # BLAS read its thread count when numpy loaded, before the package
+        # could set the environment
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        child = subprocess.run(
+            [sys.executable, "-c", NUMPY_FIRST_CHILD],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        if not child.stdout.strip():
+            pytest.skip("numpy bundles no scipy-openblas library")
+        assert child.stdout.split() == ["1"]
 
     def test_one_cpu_runs_inline_with_the_threaded_bytes(self):
         child = subprocess.run(
@@ -421,12 +446,16 @@ class TestBatchHalves:
 # Shapes where splitting every GEMM at its middle changed last bits: 7
 # hidden units split 3 + 4, halves of an 8 x 40 x 256 dense1 input gradient,
 # and a conv2 kernel gradient whose last patch row is a small product. Such
-# GEMMs must stay whole.
+# GEMMs must stay whole. On the last two, a product by the transposed view of
+# conv2's kernel matrix gives other conv1 gradients than one by its
+# contiguous copy, so the oracle must take the product's operand layout.
 @pytest.mark.parametrize("config, n", [
     (nn.ModelConfig(input_size=12, kernel_size=5, conv_filters=(3, 3), hidden_units=7), 5),
     (nn.ModelConfig(input_size=16, conv_filters=(8, 16), hidden_units=40), 8),
     (nn.ModelConfig(input_size=16, kernel_size=5, conv_filters=(8, 16), hidden_units=17), 8),
-], ids=["ragged-columns", "small-dense", "small-kernel-rows"])
+    (nn.ModelConfig(input_size=20, conv_filters=(4, 16), hidden_units=16), 8),
+    (nn.ModelConfig(input_size=32, kernel_size=5, conv_filters=(4, 32), hidden_units=16), 11),
+], ids=["ragged-columns", "small-dense", "small-kernel-rows", "narrow-conv1", "narrow-conv1-kernel-5"])
 def test_split_gemms_keep_bits_off_the_paper_shapes(config, n):
     got, want = split_and_whole_chain(config, n, with_nan=False)
     for name, a in want.items():
@@ -449,6 +478,39 @@ def test_conv_input_grad_matches_whole_batch_scatter(config, n):
     got = nn._conv_input_grad(layer, dout, x.shape)
     want = _conv_grads(x, layer.kernels, dout)[0]
     assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+
+# traced allocations a call on the paper model may hold at once, with both
+# threads' shares counted: a step holds one example's patch matrices per
+# thread, not half a batch's
+WORKING_SET_MB = {"forward_batch": 12, "evaluate": 20, "backward_batch": 32}
+
+
+def traced_peak_mb(call):
+    """(call(), the most its traced allocations held at once, in MB)."""
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    result = call()
+    return result, (tracemalloc.get_traced_memory()[1] - before) / 1e6
+
+
+def test_working_set_of_the_paper_model():
+    model = nn.init_weights(nn.ModelConfig(), seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 1, (8, 64, 64, 3))
+    images = rng.integers(0, 256, (33, 64, 64, 3), dtype=np.uint8)
+    labeled = [pipeline.LabeledImage(str(i), images[i], Label(i % 2)) for i in range(33)]
+    labels = (np.arange(8) % 2).astype(np.float64)
+    nn.forward_batch(model, x)  # the worker thread and numpy's first-call set-up
+    tracemalloc.start()
+    try:
+        (_, cache), forward = traced_peak_mb(lambda: nn.forward_batch(model, x))
+        _, evaluate = traced_peak_mb(lambda: pipeline.evaluate(model, labeled))
+        _, backward = traced_peak_mb(lambda: nn.backward_batch(model, cache, labels))
+    finally:
+        tracemalloc.stop()
+    peaks = {"forward_batch": forward, "evaluate": evaluate, "backward_batch": backward}
+    assert {name: mb for name, mb in peaks.items() if mb > WORKING_SET_MB[name]} == {}, peaks
 
 
 class TestBackward:
