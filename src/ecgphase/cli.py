@@ -52,12 +52,12 @@ class RunConfig:
     )
     q_window_ms: float = 50.0
     viewport_margin: float = 0.05
-    zoom_range: float = 0.2
-    shear_range: float = 0.2
-    horizontal_flip: bool = True
-    epochs: int = 175
-    learning_rate: float = 0.01
-    batch_size: int = 8
+    zoom_range: float = AugmentParams.zoom_range
+    shear_range: float = AugmentParams.shear_range
+    horizontal_flip: bool = AugmentParams.horizontal_flip
+    epochs: int = TrainConfig.epochs
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
     seed: int = 0
     synth: bool = False
     synth_duration_s: float = 20.0
@@ -424,9 +424,9 @@ def main(argv=None) -> int:
         # any file is written; an unreadable --config file is an OSError
         try:
             args = build_parser().parse_args(argv)
-            records = args.records.split(",") if getattr(args, "records", None) else None
-            if records and (len(set(records)) < len(records) or set(records) - set(load_labels())):
-                raise ValueError(f"--records needs distinct ids from the label table: {args.records}")
+            records = args.records.split(",") if getattr(args, "records", None) is not None else None
+            if records is not None and (len(set(records)) < len(records) or set(records) - set(load_labels())):
+                raise ValueError(f"--records needs distinct ids from the label table: {args.records!r}")
             overrides = {k: v for k, v in vars(args).items() if k in _FIELD_TYPES}
             config = load_config(args.config, overrides)
         except (ValueError, TypeError) as exc:

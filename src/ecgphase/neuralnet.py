@@ -30,9 +30,10 @@ the paper model) where half a batch's took 9.4 MB at batch 8.
 
 So every bit is that of the whole-batch chain of layer ops, in which
 conv2's input gradient multiplies by a C-contiguous copy of the transposed
-kernel matrix, as `_conv_input_grad` does: by the transposed view, OpenBLAS
-sums that product in another order on some shapes off the paper's. All
-math is float64 so the finite-difference gradient checks are meaningful.
+kernel matrix, made once per backward for `_conv_input_grad`: by the
+transposed view, OpenBLAS sums that product in another order on some shapes
+off the paper's. All math is float64 so the finite-difference gradient
+checks are meaningful.
 """
 
 from __future__ import annotations
@@ -185,27 +186,23 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return _patches(x, k).reshape(n, h, w, k * k * c)
 
 
-def _conv_input_grad(layer: ConvLayer, dout: np.ndarray, in_shape: tuple) -> np.ndarray:
-    """Adjoint of the conv in its input: scatter the patch gradients back.
+def _conv_input_grad(dout: np.ndarray, kernels_t: np.ndarray, k: int) -> np.ndarray:
+    """Adjoint of a k x k conv in its input for one (h, w, c_out) example,
+    `kernels_t` the C-contiguous transposed (c_out, k*k*c) kernel matrix.
 
-    One example at a time, so that its patch gradients (2.4 MB for conv2 of
-    the paper model) and its padded block stay in cache: each example's
-    (h, w, k*k*c) patch gradients are the same stacked matmul rows a
-    whole-batch product by the same contiguous `kernels_t` gives, and each
-    padded element sums its contributions from 0.0 in kernel-offset order,
-    as over the whole batch.
+    The example's patch gradients (2.4 MB for conv2 of the paper model) are
+    the rows a whole-batch product by `kernels_t` gives, and each padded
+    element sums them back from 0.0 in kernel-offset order, as over the
+    whole batch.
     """
-    k, _, _, c_out = layer.kernels.shape
-    n, h, w, c = in_shape
+    h, w, _ = dout.shape
+    c = kernels_t.shape[1] // (k * k)
     p = (k - 1) // 2
-    kernels_t = np.ascontiguousarray(layer.kernels.reshape(-1, c_out).T)
-    dcols = np.empty((h, w, k * k, c))
-    dpadded = np.zeros((n, h + 2 * p, w + 2 * p, c))
-    for j in range(n):
-        np.matmul(dout[j], kernels_t, out=dcols.reshape(h, w, k * k * c))
-        for i, (dy, dx) in enumerate(np.ndindex(k, k)):
-            dpadded[j, dy : dy + h, dx : dx + w, :] += dcols[:, :, i, :]
-    return dpadded[:, p : p + h, p : p + w, :]
+    dcols = (dout @ kernels_t).reshape(h, w, k * k, c)
+    dpadded = np.zeros((h + 2 * p, w + 2 * p, c))
+    for i, (dy, dx) in enumerate(np.ndindex(k, k)):
+        dpadded[dy : dy + h, dx : dx + w, :] += dcols[:, :, i, :]
+    return dpadded[p : p + h, p : p + w, :]
 
 
 def _pool_backward(dout: np.ndarray, arg: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -411,14 +408,16 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Mod
     # row of conv2's patch matrix at a time. dense1's weight gradient (16 MB
     # on the paper model) is made once dz1, dz2 and that padded input are
     # freed.
+    k, _, f1, f2 = model.conv2.kernels.shape
     dz2 = np.empty(cache.p1.shape[:3] + model.conv2.bias.shape)
     dz1 = np.empty(cache.x.shape[:3] + model.conv1.bias.shape)
+    kernels_t = np.ascontiguousarray(model.conv2.kernels.reshape(-1, f2).T)
 
     def input_grads(lo: int, hi: int) -> None:
         for j in range(lo, hi):
             e = slice(j, j + 1)
             _pool_backward(dp2[e], cache.pool2_arg[e], out=dz2[e])
-            dp1 = _conv_input_grad(model.conv2, dz2[e], cache.p1[e].shape)
+            dp1 = _conv_input_grad(dz2[j], kernels_t, k)
             _pool_backward(dp1 * (cache.p1[e] > 0), cache.pool1_arg[e], out=dz1[e])
 
     _split(input_grads, n, n // 2)
@@ -430,7 +429,6 @@ def backward_batch(model: Model, cache: ForwardCache, labels: np.ndarray) -> Mod
     # about as long; both read the one padded p1 made here. Each row is one
     # product of the size `mid` tests: one too small for the blocked kernels
     # keeps conv2's product whole, here.
-    k, _, f1, f2 = model.conv2.kernels.shape
     patches2 = _patches(cache.p1, k)
     dout2, dout1 = dz2.reshape(-1, f2), dz1.reshape(-1, f1)
     dk2 = np.empty((k, k * f1, f2))
@@ -478,15 +476,15 @@ def sgd_step(model: Model, grads: Model, alpha: float) -> Model:
     w, g = parameters(model), parameters(grads)
     new = {name: np.empty(t.shape) for name, t in w.items()}
 
-    def descend(first: bool) -> None:
+    def descend(lo: int, hi: int) -> None:
         for name, out in new.items():
             rows = out.reshape(-1, out.shape[-1])
-            part = slice(0, len(rows) // 2) if first else slice(len(rows) // 2, None)
+            part = slice(lo * len(rows) // 2, hi * len(rows) // 2)
             o = rows[part]
             np.multiply(alpha, g[name].reshape(rows.shape)[part], out=o)
             np.subtract(w[name].reshape(rows.shape)[part], o, out=o)
 
-    _in_parallel(lambda: descend(True), lambda: descend(False))
+    _split(descend, 2, 1)
     return from_parameters(model.config, new)
 
 

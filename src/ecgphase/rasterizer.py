@@ -185,20 +185,17 @@ def rasterize(trajectory: Trajectory, chord: QRChord | None, viewport: Viewport)
     """Render the trajectory plus chord into a 64 x 64 x 3 uint8 image.
 
     White background, black 1-pixel Bresenham segments between consecutive
-    points (a single point is one pixel) and the chord as one more segment.
-    Every point must map inside the viewport, as it does for
-    ``fit_viewport(trajectory, margin)``; a point outside raises ValueError.
-    Deterministic for identical inputs.
+    points' pixels (a single point is one zero-length segment) and the chord
+    from the Q point's pixel to the R point's. Every point must map inside
+    the viewport, as it does for ``fit_viewport(trajectory, margin)``; a
+    point outside raises ValueError. Deterministic for identical inputs.
     """
-    pts = trajectory.points
-    start, end = (pts, pts) if len(pts) == 1 else (pts[:-1], pts[1:])
-    x0, y0 = _to_pixels(start, viewport)
-    # the end point as p0 + (p1 - p0), which may differ from p1 in the last bit
-    x1, y1 = _to_pixels(start + (end - start), viewport)
+    x, y = _to_pixels(trajectory.points, viewport)
+    m = max(len(x) - 1, 1)  # segments: the first m points to the last m
+    x0, y0, x1, y1 = x[:m], y[:m], x[-m:], y[-m:]
     if chord is not None:
-        q, r = np.array([chord.q_point]), np.array([chord.r_point])
-        chord_pixels = (*_to_pixels(q, viewport), *_to_pixels(q + (r - q), viewport))
-        x0, y0, x1, y1 = map(np.append, (x0, y0, x1, y1), chord_pixels)
+        cx, cy = _to_pixels(np.array([chord.q_point, chord.r_point]), viewport)
+        x0, y0, x1, y1 = map(np.append, (x0, y0, x1, y1), (cx[:1], cy[:1], cx[1:], cy[1:]))
     img = np.full((IMAGE_SIZE, IMAGE_SIZE, 3), WHITE, dtype=np.uint8)
     img[_draw_segments(x0, y0, x1, y1)] = BLACK
     return img

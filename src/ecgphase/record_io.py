@@ -13,6 +13,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -262,12 +263,10 @@ def select_channel(header: RecordHeader, raw: np.ndarray, name: str) -> Signal:
 
 def load_record(header_path, channel: str = "MLII") -> Signal:
     """Read `<record>.hea` and `<record>.dat` and return the named channel;
-    the header must name `<record>`."""
-    from pathlib import Path
-
+    the header must name `<record>`. A leading byte-order mark is dropped."""
     header_path = Path(header_path)
     try:
-        text = header_path.read_text(encoding="utf-8")
+        text = header_path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"{header_path.name} is not UTF-8 text: {exc.reason}") from exc
     header = parse_header(text)
@@ -429,15 +428,14 @@ def load_csv(path, sampling_rate: float | None = None, channel: str = "csv") -> 
     Two columns are treated as ``time_s,voltage_mV`` with the rate inferred
     from the time column (which must be uniform to 1e-6 relative tolerance);
     one column is plain mV values and needs sampling_rate. A non-numeric
-    first row is taken as a header and skipped.
+    first row is taken as a header and skipped; a leading byte-order mark is
+    dropped first.
     """
-    from pathlib import Path
-
     path = Path(path)
     times: list[float] = []
     volts: list[float] = []
     n_cols = None
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for i, row in enumerate(_csv_rows(fh, path)):
             row = [tok.strip() for tok in row if tok.strip() != ""]
             if not row:

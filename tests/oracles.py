@@ -222,8 +222,8 @@ def draw_line(img, x0, y0, x1, y1):
 def rasterize_loop(trajectory, chord, viewport):
     """Trajectory and chord drawn one segment at a time on a white 64x64 image.
 
-    A single point is one zero-length segment, and each segment ends at
-    p0 + 1.0 * (p1 - p0), as the vectorized rasterizer computes it.
+    A single point is one zero-length segment, and each segment runs from
+    its start point's pixel to its end point's.
     """
     img = np.full((64, 64, 3), 255, dtype=np.uint8)
     pts = [tuple(p) for p in trajectory.points]
@@ -232,7 +232,7 @@ def rasterize_loop(trajectory, chord, viewport):
         segments.append((chord.q_point, chord.r_point))
     for (v0, dv0), (v1, dv1) in segments:
         x0, y0 = pixel_of(v0, dv0, viewport)
-        x1, y1 = pixel_of(v0 + 1.0 * (v1 - v0), dv0 + 1.0 * (dv1 - dv0), viewport)
+        x1, y1 = pixel_of(v1, dv1, viewport)
         draw_line(img, x0, y0, x1, y1)
     return img
 

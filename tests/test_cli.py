@@ -464,6 +464,15 @@ class TestTrainEval:
         assert run(["eval", "--config", str(cfg), "--records", "103,103"]) == cli.EXIT_USAGE
         assert not (out / "eval_report.json").exists()
 
+    def test_eval_empty_records_is_usage_error(self, trained):
+        # an empty list names no record; it does not fall back to the test split
+        cfg, out = trained
+        (out / "eval_report.json").unlink(missing_ok=True)
+        config_bytes = (out / "run_config.json").read_bytes()
+        assert run(["eval", "--config", str(cfg), "--records", ""]) == cli.EXIT_USAGE
+        assert not (out / "eval_report.json").exists()
+        assert (out / "run_config.json").read_bytes() == config_bytes
+
     def test_eval_unknown_record(self, trained):
         cfg, out = trained
         assert run(["eval", "--config", str(cfg)]) == 0

@@ -475,7 +475,9 @@ def test_conv_input_grad_matches_whole_batch_scatter(config, n):
     dout = rng.normal(size=(n, side, side, f2))
     dout[0] = np.where(rng.uniform(size=dout[0].shape) < 0.5, -0.0, 0.0)
     x = np.zeros((n, side, side, f1))  # the oracle's kernel gradient reads it
-    got = nn._conv_input_grad(layer, dout, x.shape)
+    k = config.kernel_size
+    kernels_t = np.ascontiguousarray(layer.kernels.reshape(-1, f2).T)
+    got = np.stack([nn._conv_input_grad(d, kernels_t, k) for d in dout])
     want = _conv_grads(x, layer.kernels, dout)[0]
     assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
 

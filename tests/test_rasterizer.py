@@ -120,13 +120,13 @@ class TestRasterize:
                 rasterizer.rasterize(traj, chord, vp)
 
     @settings(max_examples=300, deadline=None)
-    @example(  # a tie: fx * 63 == 10.5 rounds to 10
+    @example(  # a tie: fx * 63 == 22.5 rounds to 22
         pts=[(1.8, -2.9), (0.9, -2.8), (0.4, 1.8)], constant_axis=None, chord=None, margin=0.0
     )
-    @example(  # 0.3 + (0.9 - 0.3) lies one ulp past v_max and is drawn on the edge
+    @example(  # the last point lies on v_max and dv_max and is drawn on the image's corner
         pts=[(0.3, 0.0), (0.9, 1.0)], constant_axis=None, chord=None, margin=0.0
     )
-    @example(  # p0 + (p1 - p0) and p1 round to different pixels
+    @example(  # the last point's fx * 63 is 4.500000000000003, just past a tie: pixel 5
         pts=[(0.3, -2.2), (1.9, 0.7), (-1.3, 2.8), (2.2, 0.2), (-1.2, -2.2)],
         constant_axis=None, chord=None, margin=0.05,
     )

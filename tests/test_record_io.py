@@ -304,6 +304,12 @@ class TestLoadCsv:
         sig = record_io.load_csv(p)
         assert np.allclose(sig.samples, [0.5, 0.6])
 
+    def test_byte_order_mark_keeps_first_row(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_text("0.000,0.5\n0.001,0.6\n0.002,0.7\n", encoding="utf-8-sig")
+        sig = record_io.load_csv(p)
+        assert sig.samples.tolist() == [0.5, 0.6, 0.7]
+
     def test_non_uniform(self, tmp_path):
         p = tmp_path / "r.csv"
         p.write_text("0,0.0\n0.001,0.1\n0.003,0.2\n")
@@ -350,3 +356,11 @@ class TestLoadRecord:
         sig = record_io.load_record(tmp_path / "100.hea")
         assert sig.record_id == "100"
         assert np.allclose(sig.samples, [0.0, 0.5, -0.5, 0.0])
+
+    def test_byte_order_mark_before_record_name(self, tmp_path):
+        adu = np.array([[1024, 1000], [1124, 1010]])
+        (tmp_path / "100.hea").write_text(HEADER_100.replace("650000", "2"), encoding="utf-8-sig")
+        (tmp_path / "100.dat").write_bytes(record_io.encode_format212(adu))
+        sig = record_io.load_record(tmp_path / "100.hea")
+        assert sig.record_id == "100"
+        assert np.allclose(sig.samples, [0.0, 0.5])
